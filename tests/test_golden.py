@@ -1,0 +1,68 @@
+"""Golden outputs: byte-exact datasets, injection ledgers and run reports.
+
+Two zero-noise configurations run through the command-line entry point;
+the sha256 of each written file is pinned. Any change to generation,
+corruption, conversion, solving, editing, evaluation or wire text that
+alters a single byte trips this test. Zero noise keeps the digests free
+of numpy rounding, because perception snaps depth reads to the stored
+value.
+
+Regenerate the digests (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from scenefix.cli import main
+
+SAMPLES = 300
+SEED = 78
+
+GOLDEN = {
+    "for-lmd": {
+        "dataset": "f4c52b4d07da6a96a955653ca490e0fc759528e2af7cc72576705c2dafe5df40",
+        "injections": "bb185c0ee7a5e0e7eb18db11ee047cbdbb93e902369842efc79774f27d3746b1",
+        "report": "64af99912b0b255f1fba6579af8f644c164e29eb6d5977831d41b584a527efbe",
+    },
+    "forest-style": {
+        "dataset": "69ad1b4ac6cc89dfffa979afe6737e6739605a6873c7839019ac1bda9dc1c6e4",
+        "injections": "9bf3f88ca70324ba5534a8b5fdde83325fbc8fc45ff745e3d55fc976c5a6c556",
+        "report": "1c5b47f8728722718f5e9619e877593b568a9c84c8f5f012358a24e0090e2178",
+    },
+}
+
+
+def _digests(source: str, workdir: Path) -> dict[str, str]:
+    paths = {name: workdir / f"{name}.ndjson" for name in ("dataset", "injections", "report")}
+    assert main([
+        "generate", "--source", source, "--n", str(SAMPLES), "--seed", str(SEED),
+        "--out", str(paths["dataset"]), "--injections", str(paths["injections"]),
+    ]) == 0
+    assert main([
+        "run", "--dataset", str(paths["dataset"]), "--rounds", "1",
+        "--seed", str(SEED), "--report", str(paths["report"]),
+    ]) == 0
+    return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN))
+def test_outputs_are_byte_identical(source, tmp_path):
+    assert _digests(source, tmp_path) == GOLDEN[source]
+
+
+if __name__ == "__main__":
+    for source in sorted(GOLDEN):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = _digests(source, Path(tmp))
+        print(f'    "{source}": {{', file=sys.stderr)
+        for name, digest in digests.items():
+            print(f'        "{name}": "{digest}",', file=sys.stderr)
+        print("    },", file=sys.stderr)
