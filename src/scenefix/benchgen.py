@@ -44,7 +44,7 @@ from .dsl import (
 from .errors import FacingUnknownError, UnknownObjectError
 from .evaluate import ErrorCategory, evaluate
 from .interpreter import place_in_free_band
-from .rules import convert_relation, resolve_relatum_facing
+from .rules import camera_relation, convert_relation
 from .scene import (
     BBox,
     BUCKETS,
@@ -52,6 +52,7 @@ from .scene import (
     Relation,
     SceneLayout,
     SceneObject,
+    swap_extents,
 )
 
 NOUNS = (
@@ -267,36 +268,17 @@ def generate_forest_style(n: int = DEFAULT_SAMPLE_COUNT, seed: int = DEFAULT_SEE
 # --------------------------------------------------------------------------
 # corruption
 
-def _one(layout: SceneLayout, name: str) -> SceneObject | None:
-    pool = [o for o in layout.objects if o.name == name]
-    return min(pool, key=lambda o: o.object_id) if pool else None
-
-
 def _converted(clause: RelationClause, expr, layout) -> Relation | None:
-    if isinstance(clause.perspective, Intrinsic):
-        try:
-            facing = resolve_relatum_facing(clause, expr, layout)
-        except (FacingUnknownError, UnknownObjectError):
-            return None
-        return convert_relation(clause.relation, facing)
-    return clause.relation
+    """The clause's camera relation, or None when its facing is unresolvable."""
+    try:
+        return camera_relation(clause, expr, layout)
+    except (FacingUnknownError, UnknownObjectError):
+        return None
 
 
-def _swap_x_extents(layout, a, b) -> SceneLayout:
-    objects = []
-    for o in layout.objects:
-        if o.object_id == a.object_id:
-            o = o.replace(bbox=BBox(b.bbox.x, o.bbox.y, b.bbox.w, o.bbox.h))
-        elif o.object_id == b.object_id:
-            o = o.replace(bbox=BBox(a.bbox.x, o.bbox.y, a.bbox.w, o.bbox.h))
-        objects.append(o)
-    return layout.with_objects(tuple(objects))
-
-
-def _replace_object(layout, updated: SceneObject) -> SceneLayout:
-    return layout.with_objects(
-        tuple(updated if o.object_id == updated.object_id else o for o in layout.objects)
-    )
+def _replace_objects(layout, *updated: SceneObject) -> SceneLayout:
+    by_id = {o.object_id: o for o in updated}
+    return layout.with_objects(tuple(by_id.get(o.object_id, o) for o in layout.objects))
 
 
 def _corrupt_lr_swap(rng, expr, layout):
@@ -304,7 +286,7 @@ def _corrupt_lr_swap(rng, expr, layout):
         cam = _converted(clause, expr, layout)
         if cam is None or not cam.horizontal:
             continue
-        target = _one(layout, clause.target)
+        target = layout.first_named(clause.target)
         if target is None:
             continue
         if clause.relatum == FRAME:
@@ -319,18 +301,18 @@ def _corrupt_lr_swap(rng, expr, layout):
             ]
             if partners:
                 partner = min(partners, key=lambda o: o.object_id)
-                new_layout = _swap_x_extents(layout, target, partner)
+                new_layout = _replace_objects(layout, *swap_extents(target, partner, horizontal=True))
                 detail = f"swapped x extents of {target.name} and {partner.name} across the midline"
             else:
                 bbox = target.bbox
                 mirrored = BBox(round(1.0 - bbox.x - bbox.w, 6), bbox.y, bbox.w, bbox.h)
-                new_layout = _replace_object(layout, target.replace(bbox=mirrored))
+                new_layout = _replace_objects(layout, target.replace(bbox=mirrored))
                 detail = f"mirrored {target.name} across the midline"
         else:
-            relatum = _one(layout, clause.relatum)
+            relatum = layout.first_named(clause.relatum)
             if relatum is None:
                 continue
-            new_layout = _swap_x_extents(layout, target, relatum)
+            new_layout = _replace_objects(layout, *swap_extents(target, relatum, horizontal=True))
             detail = f"swapped x extents of {target.name} and {relatum.name}"
         return new_layout, Injection("", "lr-swap", ErrorCategory.LEFT_RIGHT, detail)
     return None
@@ -343,11 +325,10 @@ def _corrupt_depth_swap(rng, expr, layout):
         cam = _converted(clause, expr, layout)
         if cam is None or cam.horizontal:
             continue
-        a, b = _one(layout, clause.target), _one(layout, clause.relatum)
+        a, b = layout.first_named(clause.target), layout.first_named(clause.relatum)
         if a is None or b is None:
             continue
-        new_layout = _replace_object(layout, a.replace(depth=b.depth))
-        new_layout = _replace_object(new_layout, b.replace(depth=a.depth))
+        new_layout = _replace_objects(layout, *swap_extents(a, b, horizontal=False))
         return new_layout, Injection(
             "", "depth-swap", ErrorCategory.FRONT_BACK,
             f"swapped depths of {a.name} and {b.name}",
@@ -358,12 +339,12 @@ def _corrupt_depth_swap(rng, expr, layout):
 def _corrupt_facing_flip(rng, expr, layout):
     if expr.facings:
         assertion = expr.facings[0]
-        obj = _one(layout, assertion.subject)
+        obj = layout.first_named(assertion.subject)
         if obj is None:
             return None
         new = rng.choice([b for b in BUCKETS if b is not obj.facing])
         return (
-            _replace_object(layout, obj.replace(facing=new)),
+            _replace_objects(layout, obj.replace(facing=new)),
             Injection(
                 "", "facing-flip", ErrorCategory.ORIENTATION,
                 f"{obj.name} facing {obj.facing.value} -> {new.value}",
@@ -372,7 +353,7 @@ def _corrupt_facing_flip(rng, expr, layout):
     for clause in expr.relations:
         if not isinstance(clause.perspective, Intrinsic):
             continue
-        relatum = _one(layout, clause.perspective.relatum)
+        relatum = layout.first_named(clause.perspective.relatum)
         if relatum is None or relatum.facing is FacingDirection.NONE:
             continue
         gold_cam = convert_relation(clause.relation, relatum.facing)
@@ -381,7 +362,7 @@ def _corrupt_facing_flip(rng, expr, layout):
         new = rng.choice(group)
         category = ErrorCategory.LEFT_RIGHT if want.horizontal else ErrorCategory.FRONT_BACK
         return (
-            _replace_object(layout, relatum.replace(facing=new)),
+            _replace_objects(layout, relatum.replace(facing=new)),
             Injection(
                 "", "facing-flip", category,
                 f"{relatum.name} facing {relatum.facing.value} -> {new.value}",
@@ -391,10 +372,10 @@ def _corrupt_facing_flip(rng, expr, layout):
 
 
 def _corrupt_duplicate(rng, expr, layout):
-    present = [m for m in expr.mentions if _one(layout, m.name) is not None]
+    present = [m for m in expr.mentions if layout.first_named(m.name) is not None]
     if not present:
         return None
-    src = _one(layout, rng.choice(present).name)
+    src = layout.first_named(rng.choice(present).name)
     bbox = place_in_free_band(layout.objects, w=src.bbox.w, h=src.bbox.h)
     clone = SceneObject(
         name=src.name,
@@ -420,12 +401,12 @@ def _corrupt_drop(rng, expr, layout):
     candidates = [
         m.name
         for m in expr.mentions
-        if m.name not in protected and _one(layout, m.name) is not None
+        if m.name not in protected and layout.first_named(m.name) is not None
     ]
     if not candidates:
         return None
     name = rng.choice(candidates)
-    victim = _one(layout, name)
+    victim = layout.first_named(name)
     return (
         layout.with_objects(tuple(o for o in layout.objects if o.object_id != victim.object_id)),
         Injection("", "drop", ErrorCategory.MISSING_OBJECT, f"dropped {name}"),

@@ -21,10 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .dsl import FRAME, Intrinsic, ObjectMention, RelationClause, SpatialExpression
+from .dsl import FRAME, ObjectMention, RelationClause, SpatialExpression
 from .errors import FacingUnknownError, UnknownObjectError
-from .rules import convert_relation, resolve_relatum_facing
-from .scene import FacingDirection, Relation, SceneLayout, SceneObject
+from .rules import camera_relation
+from .scene import Relation, SceneLayout, SceneObject
 
 
 class ErrorCategory(Enum):
@@ -82,10 +82,6 @@ class EvaluationResult:
             raise ValueError("correct must hold exactly when there are no failures")
 
 
-def _first_by_id(objects) -> SceneObject | None:
-    return min(objects, key=lambda o: o.object_id) if objects else None
-
-
 def evaluate(expr: SpatialExpression, layout: SceneLayout) -> EvaluationResult:
     failures: list[ErrorCategory] = []
 
@@ -121,7 +117,7 @@ def evaluate(expr: SpatialExpression, layout: SceneLayout) -> EvaluationResult:
 def _eval_clause(
     clause: RelationClause, expr: SpatialExpression, layout: SceneLayout, add
 ) -> ClauseVerdict:
-    target = _first_by_id(layout.named(clause.target))
+    target = layout.first_named(clause.target)
     if clause.relatum == FRAME:
         if target is None:
             return ClauseVerdict(clause, False, clause.relation, "target missing")
@@ -130,20 +126,16 @@ def _eval_clause(
             add(ErrorCategory.LEFT_RIGHT)
         return ClauseVerdict(clause, ok, clause.relation)
 
-    if isinstance(clause.perspective, Intrinsic):
-        try:
-            facing = resolve_relatum_facing(clause, expr, layout)
-        except UnknownObjectError:
-            # the relatum is absent; the count stage already recorded that
-            return ClauseVerdict(clause, False, None, "relatum missing, facing unresolvable")
-        except FacingUnknownError:
-            add(ErrorCategory.ORIENTATION)
-            return ClauseVerdict(clause, False, None, "relatum facing unknown")
-        camera_rel = convert_relation(clause.relation, facing)
-    else:
-        camera_rel = clause.relation
+    try:
+        camera_rel = camera_relation(clause, expr, layout)
+    except UnknownObjectError:
+        # the relatum is absent; the count stage already recorded that
+        return ClauseVerdict(clause, False, None, "relatum missing, facing unresolvable")
+    except FacingUnknownError:
+        add(ErrorCategory.ORIENTATION)
+        return ClauseVerdict(clause, False, None, "relatum facing unknown")
 
-    relatum = _first_by_id(layout.named(clause.relatum))
+    relatum = layout.first_named(clause.relatum)
     if target is None or relatum is None:
         return ClauseVerdict(clause, False, camera_rel, "participant missing")
     ok = eval_relation(camera_rel, target, relatum)

@@ -48,8 +48,8 @@ from .errors import (
     UnsatisfiableError,
     WireFormatError,
 )
-from .evaluate import evaluate, find_matching, mention_matches
-from .scene import BBox, FacingDirection, Relation, SceneLayout, SceneObject, bbox_iou
+from .evaluate import eval_frame_relation, eval_relation, evaluate, find_matching, mention_matches
+from .scene import BBox, FacingDirection, Relation, SceneLayout, SceneObject, bbox_iou, swap_extents
 
 DEFAULT_ADDITION_SIZE = 0.25
 _MAX_REPAIR_PASSES = 4
@@ -144,16 +144,46 @@ class _Work:
         return SceneLayout(tuple(self.objs[i] for i in self.order), background)
 
 
-def _camera_constraints(expr: SpatialExpression, name_to_id: dict[str, int]):
-    """(kind, ids..., relation) triples per clause, normalized to '<' form."""
-    constraints = []
-    for clause in expr.relations:
-        if clause.relatum == FRAME:
-            constraints.append(("bound", name_to_id[clause.target], clause.relation))
-        else:
-            a, b = name_to_id[clause.target], name_to_id[clause.relatum]
-            constraints.append(("pair", a, b, clause.relation))
-    return constraints
+@dataclass(frozen=True)
+class _Constraint:
+    """One camera-frame clause between solver objects.
+
+    ``relatum`` is None for a clause against the image midline.
+    """
+
+    target: int
+    relatum: int | None
+    relation: Relation
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """Objects the clause constrains, target first."""
+        return (self.target,) if self.relatum is None else (self.target, self.relatum)
+
+    @property
+    def order(self) -> tuple[int | None, int | None]:
+        """(lower, upper): the side with the smaller x or depth first."""
+        if self.relation in (Relation.LEFT, Relation.BACK):
+            return self.target, self.relatum
+        return self.relatum, self.target
+
+    def holds(self, objs: dict[int, SceneObject]) -> bool:
+        target = objs[self.target]
+        if self.relatum is None:
+            return eval_frame_relation(self.relation, target)
+        return eval_relation(self.relation, target, objs[self.relatum])
+
+
+def _camera_constraints(expr: SpatialExpression, name_to_id: dict[str, int]) -> list[_Constraint]:
+    """One constraint per clause of a camera-frame expression, in clause order."""
+    return [
+        _Constraint(
+            name_to_id[clause.target],
+            None if clause.relatum == FRAME else name_to_id[clause.relatum],
+            clause.relation,
+        )
+        for clause in expr.relations
+    ]
 
 
 def _check_contradictions(constraints) -> None:
@@ -162,26 +192,22 @@ def _check_contradictions(constraints) -> None:
         edges: set[tuple[int, int]] = set()
         bounds: dict[int, set[Relation]] = {}
         for c in constraints:
-            if c[0] == "bound":
-                if not axis_horizontal:
-                    continue
-                _, oid, rel = c
-                bounds.setdefault(oid, set()).add(rel)
-                if len(bounds[oid]) > 1:
+            if c.relation.horizontal != axis_horizontal:
+                continue
+            if c.relatum is None:
+                bounds.setdefault(c.target, set()).add(c.relation)
+                if len(bounds[c.target]) > 1:
                     raise UnsatisfiableError(
-                        f"object #{oid} is required on both sides of the midline"
+                        f"object #{c.target} is required on both sides of the midline"
                     )
-            else:
-                _, a, b, rel = c
-                if rel.horizontal != axis_horizontal:
-                    continue
-                lo, hi = (a, b) if rel in (Relation.LEFT, Relation.BACK) else (b, a)
-                if (hi, lo) in edges:
-                    raise UnsatisfiableError(
-                        f"contradictory {'horizontal' if axis_horizontal else 'depth'} "
-                        f"order between #{lo} and #{hi}"
-                    )
-                edges.add((lo, hi))
+                continue
+            lo, hi = c.order
+            if (hi, lo) in edges:
+                raise UnsatisfiableError(
+                    f"contradictory {'horizontal' if axis_horizontal else 'depth'} "
+                    f"order between #{lo} and #{hi}"
+                )
+            edges.add((lo, hi))
         _reject_cycles(edges, "horizontal" if axis_horizontal else "depth")
 
 
@@ -207,32 +233,6 @@ def _reject_cycles(edges: set[tuple[int, int]], label: str) -> None:
             visit(node)
 
 
-def _violated(c, objs) -> bool:
-    if c[0] == "bound":
-        _, oid, rel = c
-        cx = objs[oid].bbox.cx
-        return not (cx < 0.5 if rel is Relation.LEFT else cx > 0.5)
-    _, a, b, rel = c
-    if rel is Relation.LEFT:
-        return not objs[a].bbox.cx < objs[b].bbox.cx
-    if rel is Relation.RIGHT:
-        return not objs[a].bbox.cx > objs[b].bbox.cx
-    if rel is Relation.FRONT:
-        return not objs[a].depth > objs[b].depth
-    return not objs[a].depth < objs[b].depth
-
-
-def _involves(c, oid: int) -> bool:
-    return oid in (c[1:3] if c[0] == "pair" else c[1:2])
-
-
-def _swap_horizontal(a: SceneObject, b: SceneObject) -> tuple[SceneObject, SceneObject]:
-    return (
-        a.replace(bbox=BBox(b.bbox.x, a.bbox.y, b.bbox.w, a.bbox.h)),
-        b.replace(bbox=BBox(a.bbox.x, b.bbox.y, a.bbox.w, b.bbox.h)),
-    )
-
-
 def _feasible_interval(oid: int, constraints, objs, horizontal: bool) -> tuple[float, float]:
     if horizontal:
         half = objs[oid].bbox.w / 2.0
@@ -240,21 +240,15 @@ def _feasible_interval(oid: int, constraints, objs, horizontal: bool) -> tuple[f
     else:
         lo, hi = 0.0, 1.0
     for c in constraints:
-        if c[0] == "bound":
-            if not horizontal or c[1] != oid:
-                continue
-            if c[2] is Relation.LEFT:
-                hi = min(hi, 0.5)
-            else:
-                lo = max(lo, 0.5)
+        if c.relation.horizontal != horizontal or oid not in c.ids:
             continue
-        _, a, b, rel = c
-        if rel.horizontal != horizontal or oid not in (a, b):
-            continue
-        other = b if a == oid else a
-        val = objs[other].bbox.cx if horizontal else objs[other].depth
-        below = (rel in (Relation.LEFT, Relation.BACK)) == (a == oid)
-        if below:
+        lower, upper = c.order
+        other = upper if lower == oid else lower
+        if other is None:
+            val = 0.5
+        else:
+            val = objs[other].bbox.cx if horizontal else objs[other].depth
+        if lower == oid:
             hi = min(hi, val)
         else:
             lo = max(lo, val)
@@ -284,39 +278,30 @@ def _choose_cx(lo: float, hi: float, obj: SceneObject, others) -> float:
 
 
 def _repair_axis(work: _Work, constraints, horizontal: bool) -> None:
-    axis = [
-        c
-        for c in constraints
-        if (c[0] == "bound" and horizontal) or (c[0] == "pair" and c[3].horizontal == horizontal)
-    ]
+    axis = [c for c in constraints if c.relation.horizontal == horizontal]
     if not axis:
         return
     for _ in range(_MAX_REPAIR_PASSES):
         dirty = False
         for c in axis:
-            if not _violated(c, work.objs):
+            if c.holds(work.objs):
                 continue
             dirty = True
-            if c[0] == "pair":
-                a_id, b_id = c[1], c[2]
-                a, b = work.objs[a_id], work.objs[b_id]
-                if horizontal:
-                    na, nb = _swap_horizontal(a, b)
-                else:
-                    na, nb = a.replace(depth=b.depth), b.replace(depth=a.depth)
+            if c.relatum is not None:
+                a_id, b_id = c.ids
+                na, nb = swap_extents(work.objs[a_id], work.objs[b_id], horizontal)
                 trial = dict(work.objs)
                 trial[a_id], trial[b_id] = na, nb
-                touched = [k for k in axis if _involves(k, a_id) or _involves(k, b_id)]
-                if not any(_violated(k, trial) for k in touched):
+                touched = [k for k in axis if a_id in k.ids or b_id in k.ids]
+                if all(k.holds(trial) for k in touched):
                     what = "horizontal extents" if horizontal else "depths"
                     work.put(na)
-                    work.put(nb, f"swapped {what} of {a.name} #{a_id} and {b.name} #{b_id}")
+                    work.put(nb, f"swapped {what} of {na.name} #{a_id} and {nb.name} #{b_id}")
                     continue
             # reposition/retune the clause target alone; a target wedged
             # between neighbors (empty interval) yields to the other
             # endpoint, which unblocks reversed chains
-            candidates = (c[1],) if c[0] == "bound" else (c[1], c[2])
-            for target_id in candidates:
+            for target_id in c.ids:
                 lo, hi = _feasible_interval(target_id, axis, work.objs, horizontal)
                 if not lo < hi:
                     continue  # final verification reports unsatisfiability
@@ -469,29 +454,41 @@ def _parse_response_line(line: str, prompt: str) -> LayoutProposal:
     return LayoutProposal(layout=layout, rationale=(str(reasoning),) if reasoning else ())
 
 
+def _pump(stdout, lines: queue.Queue) -> None:
+    """Forward a child's stdout lines into a queue; None marks end of stream."""
+    for line in stdout:
+        lines.put(line)
+    lines.put(None)
+
+
 class SubprocessInterpreter:
-    """One external interpreter session over a child process's stdio."""
+    """One external interpreter session over a child process's stdio.
+
+    A request that times out kills the child and starts a fresh one from
+    the same command line, so a late reply never answers a later request.
+    """
 
     def __init__(self, argv, timeout: float = 10.0):
         if isinstance(argv, str):
             argv = shlex.split(argv)
         self.timeout = timeout
+        self._argv = list(argv)
+        self._start()
+
+    def _start(self) -> None:
         self._proc = subprocess.Popen(
-            list(argv),
+            self._argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
             bufsize=1,
         )
+        # each child gets its own queue, so a dying child's lines stay behind
         self._lines: queue.Queue[str | None] = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._reader = threading.Thread(
+            target=_pump, args=(self._proc.stdout, self._lines), daemon=True
+        )
         self._reader.start()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
 
     def request(self, prompt: str, layout_wire: str, round_index: int) -> LayoutProposal:
         record = {"prompt": prompt, "layout": layout_wire, "round": round_index}
@@ -505,6 +502,8 @@ class SubprocessInterpreter:
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
+            self._stop(grace=0.0)
+            self._start()
             raise InterpreterTimeout(
                 f"no response within {self.timeout:.1f}s"
             ) from None
@@ -512,7 +511,8 @@ class SubprocessInterpreter:
             raise ProtocolError("interpreter closed its stdout mid-session")
         return _parse_response_line(line, prompt)
 
-    def close(self) -> None:
+    def _stop(self, grace: float) -> None:
+        """Close the child's stdin, give it ``grace`` seconds to exit, then kill it."""
         if self._proc.poll() is None:
             if self._proc.stdin is not None:
                 try:
@@ -520,10 +520,13 @@ class SubprocessInterpreter:
                 except OSError:
                     pass
             try:
-                self._proc.wait(timeout=2.0)
+                self._proc.wait(timeout=grace)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+
+    def close(self) -> None:
+        self._stop(grace=2.0)
 
     def __enter__(self):
         return self

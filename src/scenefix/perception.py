@@ -19,6 +19,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
+from .evaluate import mention_matches
 from .scene import (
     BBox,
     BUCKETS,
@@ -80,12 +81,6 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
-def _query_match(obj: SceneObject, queries) -> bool:
-    return any(
-        obj.name == q.name and set(q.attributes) <= set(obj.attributes) for q in queries
-    )
-
-
 def _jitter_bbox(rng: random.Random, b: BBox, sigma: float) -> BBox:
     w = min(max(_MIN_SIDE, b.w + rng.gauss(0.0, sigma)), 1.0)
     h = min(max(_MIN_SIDE, b.h + rng.gauss(0.0, sigma)), 1.0)
@@ -121,7 +116,7 @@ def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int | None = 
     detected: list[SceneObject] = []
 
     for obj in scene.layout.objects:
-        if not _query_match(obj, queries):
+        if not any(mention_matches(obj, q) for q in queries):
             continue
         if cfg.dropout_rate > 0 and rng.random() < cfg.dropout_rate:
             events.append(PerceptionEvent("dropout", obj.object_id, obj.name))

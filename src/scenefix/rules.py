@@ -115,13 +115,23 @@ def resolve_relatum_facing(
     asserted = expr.facing_asserted(anchor)
     if asserted is not None:
         return asserted
-    candidates = layout.named(anchor)
-    if not candidates:
+    relatum = layout.first_named(anchor)
+    if relatum is None:
         raise UnknownObjectError(f"relatum {anchor!r} not present in layout")
-    facing = min(candidates, key=lambda o: o.object_id).facing
+    facing = relatum.facing
     if facing is FacingDirection.NONE:
         raise FacingUnknownError(f"no facing available for relatum {anchor!r}")
     return facing
+
+
+def camera_relation(
+    clause: RelationClause, expr: SpatialExpression, layout: SceneLayout
+) -> Relation:
+    """The clause's relation read from the camera; raises what
+    :func:`resolve_relatum_facing` raises for an intrinsic clause."""
+    if isinstance(clause.perspective, Camera):
+        return clause.relation
+    return convert_relation(clause.relation, resolve_relatum_facing(clause, expr, layout))
 
 
 def convert_expression(expr: SpatialExpression, layout: SceneLayout) -> SpatialExpression:
@@ -133,19 +143,9 @@ def convert_expression(expr: SpatialExpression, layout: SceneLayout) -> SpatialE
     """
     converted: list[RelationClause] = []
     for clause in expr.relations:
-        if isinstance(clause.perspective, Camera):
-            converted.append(clause)
-            continue
         try:
-            facing = resolve_relatum_facing(clause, expr, layout)
+            relation = camera_relation(clause, expr, layout)
         except UnknownObjectError as exc:
             raise FacingUnknownError(str(exc)) from exc
-        converted.append(
-            RelationClause(
-                target=clause.target,
-                relation=convert_relation(clause.relation, facing),
-                relatum=clause.relatum,
-                perspective=Camera(),
-            )
-        )
+        converted.append(replace(clause, relation=relation, perspective=Camera()))
     return replace(expr, relations=tuple(converted))

@@ -13,7 +13,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 
 import numpy as np
@@ -182,10 +182,6 @@ class DepthMap:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def filled(cls, width: int, height: int, value: float) -> "DepthMap":
-        return cls(np.full((height, width), float(value), dtype=np.float64))
-
 
 def rect_bounds(depth: DepthMap, b: BBox) -> tuple[int, int, int, int]:
     """Inclusive pixel bounds (col0, col1, row0, row1) of a box on a grid.
@@ -244,9 +240,19 @@ class SceneObject:
             raise ValueError(f"facing must be a FacingDirection, got {self.facing!r}")
 
     def replace(self, **changes) -> "SceneObject":
-        from dataclasses import replace as _replace
+        return dc_replace(self, **changes)
 
-        return _replace(self, **changes)
+
+def swap_extents(
+    a: SceneObject, b: SceneObject, horizontal: bool
+) -> tuple[SceneObject, SceneObject]:
+    """Trade places on one axis: x and width horizontally, else depth."""
+    if not horizontal:
+        return a.replace(depth=b.depth), b.replace(depth=a.depth)
+    return (
+        a.replace(bbox=BBox(b.bbox.x, a.bbox.y, b.bbox.w, a.bbox.h)),
+        b.replace(bbox=BBox(a.bbox.x, b.bbox.y, a.bbox.w, b.bbox.h)),
+    )
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,10 @@ class SceneLayout:
 
     def named(self, name: str) -> tuple[SceneObject, ...]:
         return tuple(obj for obj in self.objects if obj.name == name)
+
+    def first_named(self, name: str) -> SceneObject | None:
+        """The lowest-id object with this name; it stands for the name in clauses."""
+        return min(self.named(name), key=lambda o: o.object_id, default=None)
 
     def max_object_id(self) -> int:
         return max((obj.object_id for obj in self.objects), default=0)

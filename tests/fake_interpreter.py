@@ -12,6 +12,7 @@ selects a behavior:
   bad-range      reply with an out-of-range depth
   invent         reply with an object the prompt never mentions
   sleep          stall long enough to trip client timeouts
+  stall-first    stall for a second on round 0, then echo; echo other rounds
   close          exit immediately without replying
 """
 
@@ -73,6 +74,10 @@ def main() -> int:
         elif mode == "sleep":
             time.sleep(30.0)
             respond(layout_text, prompt)
+        elif mode == "stall-first":
+            if record["round"] == 0:
+                time.sleep(1.0)
+            respond(layout_text, prompt, f"round {record['round']}")
         else:
             raise SystemExit(f"unknown mode {mode!r}")
     return 0

@@ -284,6 +284,17 @@ class TestSubprocessProtocol:
             with pytest.raises(InterpreterTimeout):
                 session.request(prompt, serialize_wire_layout(lay), 0)
 
+    def test_late_reply_never_answers_the_next_request(self):
+        prompt, lay = _prompt_and_wire()
+        moved = layout(obj("cat", oid=1, x=0.05), obj("dog", oid=2, x=0.7))
+        # the round-0 reply arrives 1 s late, while round 1 is still waiting
+        with SubprocessInterpreter(fake_argv("stall-first"), timeout=0.8) as session:
+            with pytest.raises(InterpreterTimeout):
+                session.request(prompt, serialize_wire_layout(lay), 0)
+            proposal = session.request(prompt, serialize_wire_layout(moved), 1)
+        assert proposal.layout == moved
+        assert proposal.rationale == ("round 1",)
+
     def test_early_exit_is_protocol_error(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("close")) as session:
