@@ -72,6 +72,7 @@ from .scene import (
     SceneLayout,
     SceneObject,
     angle_to_facing,
+    box_depth,
     object_depth,
 )
 from .wire import (
@@ -133,6 +134,7 @@ __all__ = [
     "apply_actions",
     "apply_corruption",
     "apply_depth_formula",
+    "box_depth",
     "categorize_run",
     "convert_expression",
     "convert_relation",

@@ -33,9 +33,8 @@ from .scene import (
     SceneLayout,
     SceneObject,
     bbox_iou,
-    object_depth,
+    box_depth,
     rect_bounds,
-    rect_mask,
 )
 
 # Additions may overlap existing boxes at most this much.
@@ -122,10 +121,10 @@ def scene_from_layout(
 
 
 def scene_consistency_gap(scene: SymbolicScene) -> float:
-    """Largest |stored depth - mask mean| over all objects (0 when empty)."""
+    """Largest |stored depth - box mean| over all objects (0 when empty)."""
     gap = 0.0
     for obj in scene.layout.objects:
-        measured = object_depth(scene.depth, rect_mask(scene.depth, obj.bbox))
+        measured = box_depth(scene.depth, obj.bbox)
         gap = max(gap, abs(measured - obj.depth))
     return gap
 

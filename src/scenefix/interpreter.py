@@ -412,6 +412,9 @@ def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutPropo
 
 _RESPONSE_FIELDS = ("updated_prompt", "layout", "reasoning")
 
+# Longest HTTP response body read; a longer one is a protocol error.
+_MAX_RESPONSE_BYTES = 1 << 20
+
 
 def _validate_proposal_layout(layout: SceneLayout, prompt: str) -> None:
     """Count/attribute consistency of an external proposal with its prompt."""
@@ -508,6 +511,9 @@ class SubprocessInterpreter:
                 f"no response within {self.timeout:.1f}s"
             ) from None
         if line is None:
+            # stop the child now, so later requests fail at once instead of
+            # writing into a closing pipe and waiting out the timeout
+            self._stop(grace=0.0)
             raise ProtocolError("interpreter closed its stdout mid-session")
         return _parse_response_line(line, prompt)
 
@@ -551,14 +557,20 @@ class HttpInterpreter:
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = resp.read().decode("utf-8")
+                body = resp.read(_MAX_RESPONSE_BYTES + 1)
         except urllib.error.URLError as exc:
             if isinstance(getattr(exc, "reason", None), TimeoutError):
                 raise InterpreterTimeout(str(exc)) from exc
             raise ProtocolError(f"endpoint unreachable: {exc}") from exc
         except TimeoutError as exc:
             raise InterpreterTimeout(str(exc)) from exc
-        return _parse_response_line(body, prompt)
+        if len(body) > _MAX_RESPONSE_BYTES:
+            raise ProtocolError(f"response body exceeds {_MAX_RESPONSE_BYTES} bytes")
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"response body is not UTF-8: {exc}") from exc
+        return _parse_response_line(text, prompt)
 
     def close(self) -> None:  # symmetry with the subprocess session
         pass

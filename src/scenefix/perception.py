@@ -26,9 +26,11 @@ from .scene import (
     FacingDirection,
     SceneLayout,
     SceneObject,
-    object_depth,
-    rect_mask,
+    box_depth,
 )
+
+# not called here; bench/layers.py wraps these two names on this module
+from .scene import object_depth, rect_mask  # noqa: F401
 
 _MIN_SIDE = 0.05
 _SNAP_EPS = 1e-9
@@ -90,7 +92,7 @@ def _jitter_bbox(rng: random.Random, b: BBox, sigma: float) -> BBox:
 
 
 def _read_depth(scene, bbox: BBox, stored: float) -> float:
-    d = object_depth(scene.depth, rect_mask(scene.depth, bbox))
+    d = box_depth(scene.depth, bbox)
     # mean of a uniform patch can pick up float dust; keep identity exact
     return stored if abs(d - stored) < _SNAP_EPS else d
 

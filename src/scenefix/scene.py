@@ -200,6 +200,17 @@ def rect_bounds(depth: DepthMap, b: BBox) -> tuple[int, int, int, int]:
     return c0, c1, r0, r1
 
 
+def box_depth(depth: DepthMap, b: BBox) -> float:
+    """Mean depth over the pixel rectangle of a box: the object-level depth.
+
+    Equals ``object_depth(depth, rect_mask(depth, b))`` up to summation
+    order, and raises EmptyRegionError on the same boxes.
+    """
+    c0, c1, r0, r1 = rect_bounds(depth, b)
+    region = depth.values[r0 : r1 + 1, c0 : c1 + 1]
+    return float(region.sum()) / region.size
+
+
 def rect_mask(depth: DepthMap, b: BBox) -> frozenset[tuple[int, int]]:
     """Set of (col, row) pixel coordinates whose centers fall inside the box."""
     c0, c1, r0, r1 = rect_bounds(depth, b)
@@ -207,7 +218,7 @@ def rect_mask(depth: DepthMap, b: BBox) -> frozenset[tuple[int, int]]:
 
 
 def object_depth(depth: DepthMap, mask: frozenset[tuple[int, int]]) -> float:
-    """Mean depth over a pixel mask: the object-level depth estimate."""
+    """Mean depth over an arbitrary pixel mask; boxes use :func:`box_depth`."""
     if not mask:
         raise EmptyRegionError("cannot average depth over an empty mask")
     cols = np.fromiter((c for c, _ in mask), dtype=np.intp, count=len(mask))

@@ -227,6 +227,8 @@ def sample_to_record(sample) -> dict:
 def sample_from_record(record: dict, line: int = 0):
     from .benchgen import BenchmarkSample
 
+    if not isinstance(record, dict):
+        raise DatasetError(f"record must be a JSON object, got {type(record).__name__}", line=line)
     missing = [k for k in _SAMPLE_FIELDS if k not in record]
     if missing:
         raise DatasetError(f"record is missing fields {missing}", line=line)
@@ -298,8 +300,10 @@ def load_layouts(path: str) -> dict[str, SceneLayout]:
     """Read an NDJSON file of {id, layout} overrides for evaluation."""
     layouts: dict[str, SceneLayout] = {}
     for lineno, record in read_ndjson(path):
-        if "id" not in record or "layout" not in record:
-            raise DatasetError("layout record needs 'id' and 'layout'", line=lineno)
+        if not isinstance(record, dict) or "id" not in record or "layout" not in record:
+            raise DatasetError(
+                "layout record must be an object with 'id' and 'layout'", line=lineno
+            )
         try:
             layouts[record["id"]] = parse_wire_layout(record["layout"])
         except (WireFormatError, DuplicateIdError, ValueError) as exc:

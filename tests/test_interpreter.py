@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from scenefix import (
 )
 from scenefix.dsl import FRAME
 from scenefix.interpreter import (
+    _MAX_RESPONSE_BYTES,
     HttpInterpreter,
     SubprocessInterpreter,
     make_interpreter,
@@ -301,6 +303,15 @@ class TestSubprocessProtocol:
             with pytest.raises(ProtocolError):
                 session.request(prompt, serialize_wire_layout(lay), 0)
 
+    def test_requests_after_end_of_stream_fail_fast(self):
+        prompt, lay = _prompt_and_wire()
+        with SubprocessInterpreter(fake_argv("close"), timeout=5.0) as session:
+            start = time.monotonic()
+            for round_index in range(3):
+                with pytest.raises(ProtocolError):
+                    session.request(prompt, serialize_wire_layout(lay), round_index)
+            assert time.monotonic() - start < 1.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
@@ -308,6 +319,10 @@ class _Handler(BaseHTTPRequestHandler):
         record = json.loads(self.rfile.read(length))
         if self.path == "/malformed":
             body = b"no json here"
+        elif self.path == "/oversize":
+            body = b" " * (_MAX_RESPONSE_BYTES + 1)
+        elif self.path == "/not-utf8":
+            body = b"\xff"
         else:
             body = json.dumps(
                 {
@@ -347,6 +362,18 @@ class TestHttpProtocol:
         prompt, lay = _prompt_and_wire()
         session = HttpInterpreter(http_endpoint + "/malformed")
         with pytest.raises(ProtocolError):
+            session.request(prompt, serialize_wire_layout(lay), 0)
+
+    def test_oversize_body_is_protocol_error(self, http_endpoint):
+        prompt, lay = _prompt_and_wire()
+        session = HttpInterpreter(http_endpoint + "/oversize")
+        with pytest.raises(ProtocolError, match="exceeds"):
+            session.request(prompt, serialize_wire_layout(lay), 0)
+
+    def test_non_utf8_body_is_protocol_error(self, http_endpoint):
+        prompt, lay = _prompt_and_wire()
+        session = HttpInterpreter(http_endpoint + "/not-utf8")
+        with pytest.raises(ProtocolError, match="UTF-8"):
             session.request(prompt, serialize_wire_layout(lay), 0)
 
     def test_unreachable_endpoint_is_protocol_error(self):

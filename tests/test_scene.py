@@ -20,6 +20,7 @@ from scenefix import (
     SceneLayout,
     SceneObject,
     angle_to_facing,
+    box_depth,
     object_depth,
 )
 from scenefix.scene import bbox_center, bbox_iou, bucket_center, rect_bounds, rect_mask
@@ -185,6 +186,36 @@ class TestObjectDepth:
         dm = DepthMap(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             object_depth(dm, frozenset({(9, 0)}))
+
+
+@st.composite
+def grids(draw):
+    h = draw(st.integers(min_value=1, max_value=32))
+    w = draw(st.integers(min_value=1, max_value=32))
+    cells = st.floats(min_value=0.0, max_value=1.0)
+    values = draw(st.lists(cells, min_size=h * w, max_size=h * w))
+    return DepthMap(np.array(values).reshape(h, w))
+
+
+@st.composite
+def in_frame_boxes(draw):
+    corner = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    x, y = draw(corner), draw(corner)
+    w = draw(st.floats(min_value=0.0, max_value=1.0 - x, exclude_min=True))
+    h = draw(st.floats(min_value=0.0, max_value=1.0 - y, exclude_min=True))
+    return BBox(x, y, w, h)
+
+
+class TestBoxDepth:
+    @given(grids(), in_frame_boxes())
+    def test_agrees_with_mask_mean(self, dm, box):
+        try:
+            expected = object_depth(dm, rect_mask(dm, box))
+        except EmptyRegionError:
+            with pytest.raises(EmptyRegionError):
+                box_depth(dm, box)
+            return
+        assert abs(box_depth(dm, box) - expected) <= 1e-12
 
 
 class TestSceneObject:

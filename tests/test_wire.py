@@ -205,6 +205,15 @@ class TestDatasetFiles:
         assert set(loaded) == {"s1"}
         assert loaded["s1"] == lay
 
+    @pytest.mark.parametrize("line", ["5", "null", '"text"', "[1]"])
+    @pytest.mark.parametrize("reader", [read_dataset, load_layouts])
+    def test_non_object_record_is_dataset_error(self, tmp_path, reader, line):
+        path = tmp_path / "records.ndjson"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as err:
+            reader(str(path))
+        assert err.value.line == 1
+
     def test_load_layouts_needs_both_fields(self, tmp_path):
         path = tmp_path / "layouts.ndjson"
         write_ndjson(str(path), [{"id": "s1"}])
