@@ -12,7 +12,10 @@ Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
 split. Runs are deterministic for a fixed config, and samples are
 independent, so the worker pool (builtin solver only) changes nothing
-but wall time.
+but wall time: the parent reads the dataset's lines without decoding
+them, each worker decodes and runs a contiguous chunk of them, and the
+parent joins the trajectories in chunk order. Chunks are consumed in
+order, so a bad record raises the same DatasetError as a serial read.
 """
 
 from __future__ import annotations
@@ -51,9 +54,13 @@ from .evaluate import EvaluationResult, categorize_run, evaluate
 from .interpreter import make_interpreter, suggest_layout
 from .perception import ZERO_NOISE, PerceptionConfig, derive_seed, perceive
 from .rules import convert_expression
-from .wire import read_dataset, serialize_wire_layout, write_ndjson
+from .wire import decode_dataset, read_dataset, read_lines, serialize_wire_layout, write_ndjson
 
 logger = logging.getLogger(__name__)
+
+# Pool tasks per worker: enough that one slow chunk does not leave the
+# other workers idle, few enough that task overhead stays negligible.
+_CHUNKS_PER_WORKER = 4
 
 _SAMPLE_ERRORS = (
     UnsatisfiableError,
@@ -279,19 +286,36 @@ def write_report(report: RunReport, path: str) -> None:
     write_ndjson(path, report.to_records())
 
 
+def _run_chunk(lines: list[tuple[int, str]], cfg: RunConfig) -> list[SampleTrajectory]:
+    """Pool task: decode one contiguous chunk of dataset lines and run its samples."""
+    # run_sample is looked up at call time, so a replacement of the module
+    # attribute before the pool forks also runs in the workers
+    return [run_sample(s, cfg) for s in decode_dataset(lines)]
+
+
+def _run_pool(cfg: RunConfig) -> list[SampleTrajectory]:
+    lines = list(read_lines(cfg.dataset_path))
+    if not lines:
+        return []
+    size = -(-len(lines) // (cfg.workers * _CHUNKS_PER_WORKER))
+    chunks = [lines[i:i + size] for i in range(0, len(lines), size)]
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(chunks))) as pool:
+        parts = pool.map(functools.partial(_run_chunk, cfg=cfg), chunks)
+        return [t for part in parts for t in part]
+
+
 def run_batch(cfg: RunConfig) -> RunReport:
-    samples = read_dataset(cfg.dataset_path)
-    if cfg.solver == "external":
+    if cfg.workers > 1:
+        trajectories = _run_pool(cfg)
+    elif cfg.solver == "external":
+        samples = read_dataset(cfg.dataset_path)
         session = make_interpreter(cfg.endpoint)
         try:
             trajectories = [run_sample(s, cfg, session) for s in samples]
         finally:
             session.close()
-    elif cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            trajectories = list(pool.map(functools.partial(run_sample, cfg=cfg), samples))
     else:
-        trajectories = [run_sample(s, cfg) for s in samples]
+        trajectories = [run_sample(s, cfg) for s in read_dataset(cfg.dataset_path)]
 
     report = build_report(tuple(trajectories), cfg.rounds)
     if cfg.report_path:

@@ -24,7 +24,7 @@ import json
 import os
 import re
 import tempfile
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .dsl import (
     ATTRIBUTE_WORDS,
@@ -232,6 +232,9 @@ def sample_from_record(record: dict, line: int = 0):
     missing = [k for k in _SAMPLE_FIELDS if k not in record]
     if missing:
         raise DatasetError(f"record is missing fields {missing}", line=line)
+    if not isinstance(record["prompt"], str):
+        kind = type(record["prompt"]).__name__
+        raise DatasetError(f"prompt must be a string, got {kind}", line=line)
     try:
         annotation = annotation_from_json(record["annotation"])
         background = annotation.background
@@ -248,7 +251,7 @@ def sample_from_record(record: dict, line: int = 0):
         raise DatasetError(str(exc), line=line) from exc
     try:
         reparsed = parse_expression(sample.prompt)
-    except ExpressionParseError as exc:
+    except (ExpressionParseError, ValueError) as exc:  # ValueError: parsed clauses contradict
         raise DatasetError(f"prompt does not parse: {exc}", line=line) from exc
     if reparsed != annotation:
         raise DatasetError(f"annotation does not match prompt {sample.prompt!r}", line=line)
@@ -270,30 +273,43 @@ def write_ndjson(path: str, records: Iterable[dict]) -> None:
         raise
 
 
-def read_ndjson(path: str) -> list[tuple[int, dict]]:
-    out: list[tuple[int, dict]] = []
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of an NDJSON file with their 1-based numbers, undecoded."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON: {exc}", line=lineno) from exc
-            out.append((lineno, record))
-    return out
+            if raw.strip():
+                yield lineno, raw
+
+
+def decode_lines(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, object]]:
+    """Decode numbered lines from ``read_lines``; the first bad one is a DatasetError."""
+    for lineno, raw in lines:
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"invalid JSON: {exc}", line=lineno) from exc
+        yield lineno, record
+
+
+def read_ndjson(path: str) -> list[tuple[int, object]]:
+    return list(decode_lines(read_lines(path)))
 
 
 def write_dataset(path: str, samples) -> None:
     write_ndjson(path, (sample_to_record(s) for s in samples))
 
 
+def decode_dataset(lines: Iterable[tuple[int, str]]) -> list:
+    """Samples from numbered dataset lines, checked record by record in line order."""
+    return [sample_from_record(record, line) for line, record in decode_lines(lines)]
+
+
 def read_dataset(path: str) -> list:
-    return [sample_from_record(record, line) for line, record in read_ndjson(path)]
+    return decode_dataset(read_lines(path))
 
 
 def load_layouts(path: str) -> dict[str, SceneLayout]:

@@ -86,6 +86,16 @@ class TestRun:
         records = [json.loads(l) for l in open(report, encoding="utf-8")]
         assert records[-1]["summary"] is True
 
+    def test_prompt_with_unmentioned_anchor_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "bench.ndjson"
+        main(["generate", "--n", "2", "--out", str(out)])
+        capsys.readouterr()
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        records[1]["prompt"] = "A red cat is left of a dog from the cup's perspective."
+        out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["run", "--dataset", str(out), "--rounds", "1"]) == 1
+        assert "(line 2)" in capsys.readouterr().err
+
     def test_invalid_rounds_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "bench.ndjson")
         main(["generate", "--n", "2", "--out", out])

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import scenefix.pipeline as pipeline
 from scenefix import (
+    DatasetError,
     PerceptionConfig,
     RunConfig,
     apply_corruption,
@@ -19,6 +23,7 @@ from scenefix import (
     write_dataset,
 )
 from scenefix.pipeline import build_report, write_report
+from scenefix.wire import sample_to_record
 
 FAKE = str(Path(__file__).parent / "fake_interpreter.py")
 
@@ -136,6 +141,94 @@ class TestBatchRuns:
         assert set(body) == {"id", "split", "source", "error", "rounds"}
         for r in body["rounds"]:
             assert set(r) == {"round", "correct", "failures", "actions"}
+
+
+class TestWorkerPool:
+    """``workers > 1``: chunks of dataset lines decoded and run in a process pool."""
+
+    NOISE = PerceptionConfig(
+        bbox_jitter_sigma=0.02, depth_sigma=0.02, facing_flip_rate=0.05,
+        dropout_rate=0.05, duplicate_rate=0.05,
+    )
+
+    def test_noisy_rounds_match_sequential(self, corrupted_dataset):
+        path, _ = corrupted_dataset
+        serial = RunConfig(dataset_path=path, rounds=3, perception=self.NOISE, seed=78)
+        sequential = run_batch(serial)
+        assert any(t.error for t in sequential.trajectories)
+        assert run_batch(replace(serial, workers=2)) == sequential
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("fault", ["invalid json", "null", "missing fields", "mismatch"])
+    def test_bad_record_in_later_chunk_matches_serial_error(self, tmp_path, workers, fault):
+        samples = generate_for_lmd(40, seed=78)
+        records = [sample_to_record(s) for s in samples]
+        lines = [json.dumps(r, sort_keys=True) for r in records]
+        if fault == "invalid json":
+            lines[30] = lines[30][:-1]
+        elif fault == "null":
+            lines[30] = "null"
+        elif fault == "missing fields":
+            del records[30]["annotation"]
+            lines[30] = json.dumps(records[30])
+        else:
+            records[30]["prompt"] = next(
+                r["prompt"] for r in records if r["prompt"] != records[30]["prompt"]
+            )
+            lines[30] = json.dumps(records[30])
+        path = tmp_path / "bench.ndjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as serial:
+            run_batch(RunConfig(dataset_path=str(path)))
+        with pytest.raises(DatasetError) as pooled:
+            run_batch(RunConfig(dataset_path=str(path), workers=workers))
+        assert serial.value.line == pooled.value.line == 31
+        assert str(pooled.value) == str(serial.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earliest_bad_line_wins(self, tmp_path, workers):
+        lines = [json.dumps(sample_to_record(s)) for s in generate_for_lmd(40, seed=78)]
+        lines[4] = "null"
+        lines[30] = lines[30][:-1]
+        path = tmp_path / "bench.ndjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as err:
+            run_batch(RunConfig(dataset_path=str(path), workers=workers))
+        assert err.value.line == 5
+
+    def test_pool_is_never_larger_than_the_chunk_count(self, tmp_path, monkeypatch):
+        asked = []
+
+        class Recording(pipeline.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recording)
+        path = _dataset(tmp_path, generate_for_lmd(3, seed=78))
+        pooled = run_batch(RunConfig(dataset_path=path, rounds=1, workers=8))
+        assert asked and all(n <= 3 for n in asked)
+        assert pooled == run_batch(RunConfig(dataset_path=path, rounds=1))
+
+        asked.clear()
+        empty = _dataset(tmp_path, [], name="empty.ndjson")
+        report = run_batch(RunConfig(dataset_path=empty, rounds=1, workers=8))
+        assert asked == []
+        assert report == run_batch(RunConfig(dataset_path=empty, rounds=1))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="needs forked workers"
+    )
+    def test_workers_call_run_sample_through_the_module(self, corrupted_dataset, monkeypatch):
+        path, _ = corrupted_dataset
+        original = pipeline.run_sample
+
+        def marked(sample, cfg, session=None):
+            return replace(original(sample, cfg, session), error="seen in worker")
+
+        monkeypatch.setattr(pipeline, "run_sample", marked)
+        report = run_batch(RunConfig(dataset_path=path, rounds=0, workers=2))
+        assert {t.error for t in report.trajectories} == {"seen in worker"}
 
 
 class TestNoisyRuns:

@@ -195,6 +195,19 @@ class TestDatasetFiles:
         with pytest.raises(DatasetError):
             sample_from_record(record, line=1)
 
+    @pytest.mark.parametrize(
+        "prompt",
+        [5, ["x"], {"a": 1}, "A red cat is left of a dog from the cup's perspective."],
+    )
+    def test_unusable_prompt_is_dataset_error(self, tmp_path, prompt):
+        record = sample_to_record(generate_for_lmd(1, seed=1)[0])
+        record["prompt"] = prompt
+        path = tmp_path / "records.ndjson"
+        write_ndjson(str(path), [sample_to_record(generate_for_lmd(1, seed=2)[0]), record])
+        with pytest.raises(DatasetError) as err:
+            read_dataset(str(path))
+        assert err.value.line == 2
+
     def test_load_layout_overrides(self, tmp_path):
         path = tmp_path / "layouts.ndjson"
         lay = layout(obj("cat", oid=1, depth=0.5))
