@@ -7,6 +7,13 @@ alters a single byte trips this test. Zero noise keeps the digests free
 of numpy rounding, because perception snaps depth reads to the stored
 value.
 
+One noisy configuration is pinned as well, through a float-free
+projection of its report: per sample the id, the error, each round's
+verdict and failure categories, and each action's kind and object id.
+All five perception noise knobs are on, so any change in the order of
+the noise draws moves at least one verdict or action and trips the
+digest, while numpy's last-bit rounding of depth means cannot.
+
 Regenerate the digests (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -15,6 +22,7 @@ Regenerate the digests (only when an output change is intended) with
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +47,14 @@ GOLDEN = {
     },
 }
 
+NOISY_ROUNDS = 3
+NOISE_FLAGS = [
+    "--perception-bbox-jitter", "0.02", "--perception-depth-sigma", "0.02",
+    "--perception-facing-flip", "0.05", "--perception-dropout", "0.05",
+    "--perception-duplicate", "0.05",
+]
+NOISY_DECISIONS = "44e40f581a6b50cc7ee8c448840aeed46ac2c73f8605b246d8e2971d8a22243c"
+
 
 def _digests(source: str, workdir: Path) -> dict[str, str]:
     paths = {name: workdir / f"{name}.ndjson" for name in ("dataset", "injections", "report")}
@@ -53,9 +69,45 @@ def _digests(source: str, workdir: Path) -> dict[str, str]:
     return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
 
 
+def _decisions(record: dict) -> dict:
+    return {
+        "id": record["id"],
+        "error": record["error"],
+        "rounds": [
+            {
+                "correct": r["correct"],
+                "failures": r["failures"],
+                "actions": [(a["kind"], a["object_id"]) for a in r["actions"]],
+            }
+            for r in record["rounds"]
+        ],
+    }
+
+
+def _noisy_decisions_digest(workdir: Path) -> str:
+    dataset, report = workdir / "dataset.ndjson", workdir / "report.ndjson"
+    assert main([
+        "generate", "--source", "for-lmd", "--n", str(SAMPLES), "--seed", str(SEED),
+        "--out", str(dataset),
+    ]) == 0
+    assert main([
+        "run", "--dataset", str(dataset), "--rounds", str(NOISY_ROUNDS),
+        "--seed", str(SEED), "--report", str(report), *NOISE_FLAGS,
+    ]) == 0
+    records = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
+    projection = [_decisions(r) for r in records if not r.get("summary")]
+    assert len(projection) == SAMPLES
+    text = json.dumps(projection, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("source", sorted(GOLDEN))
 def test_outputs_are_byte_identical(source, tmp_path):
     assert _digests(source, tmp_path) == GOLDEN[source]
+
+
+def test_noisy_decisions_are_pinned(tmp_path):
+    assert _noisy_decisions_digest(tmp_path) == NOISY_DECISIONS
 
 
 if __name__ == "__main__":
@@ -66,3 +118,5 @@ if __name__ == "__main__":
         for name, digest in digests.items():
             print(f'        "{name}": "{digest}",', file=sys.stderr)
         print("    },", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'NOISY_DECISIONS = "{_noisy_decisions_digest(Path(tmp))}"', file=sys.stderr)

@@ -152,3 +152,31 @@ class TestNoiseKnobs:
         with_other = perceive(_scene(), [CAT], cfg, seed=2)
         assert with_default == with_same
         assert with_default != with_other
+
+
+class TestEventLog:
+    # pinned from the event-building detector before perceive stopped
+    # building events; every kind appears at least once
+    PINNED = [
+        ("dropout", 1, "cat"),
+        ("bbox-jitter", 2, "[0.6, 0.1, 0.2, 0.2] -> "
+         "[0.5672348035468757, 0.10094003550495151, 0.20199007426814786, 0.17706369047085105]"),
+        ("depth-noise", 2, "0.2615 -> 0.2309"),
+        ("facing-flip", 2, "None -> Front"),
+        ("bbox-jitter", 3, "[0.3, 0.6, 0.2, 0.2] -> "
+         "[0.32618873112909447, 0.6049800970406894, 0.15689511664692413, 0.16842057994157383]"),
+        ("depth-noise", 3, "0.5000 -> 0.4540"),
+        ("facing-flip", 3, "None -> BackwardLeft"),
+        ("duplicate", 3, "clone #4"),
+    ]
+
+    def test_seeded_events_are_pinned(self):
+        cfg = PerceptionConfig(
+            bbox_jitter_sigma=0.03,
+            depth_sigma=0.03,
+            facing_flip_rate=0.5,
+            dropout_rate=0.3,
+            duplicate_rate=0.5,
+        )
+        _, events = perceive_with_log(_scene(), [CAT, DOG], cfg, seed=1)
+        assert [(e.kind, e.object_id, e.detail) for e in events] == self.PINNED
