@@ -37,7 +37,13 @@ class ErrorCategory(Enum):
 
 def mention_matches(obj: SceneObject, mention: ObjectMention) -> bool:
     """Name must match exactly; mention attributes must all be present."""
-    return obj.name == mention.name and set(mention.attributes) <= set(obj.attributes)
+    if obj.name != mention.name:
+        return False
+    attributes = obj.attributes
+    for attribute in mention.attributes:
+        if attribute not in attributes:
+            return False
+    return True
 
 
 def find_matching(layout: SceneLayout, mention: ObjectMention) -> tuple[SceneObject, ...]:

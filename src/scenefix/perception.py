@@ -109,37 +109,44 @@ def _duplicate_bbox(b: BBox) -> BBox:
     return BBox(x, b.y, b.w, b.h)
 
 
-def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int | None = None):
-    """Like perceive, but also returns the realized perturbation events."""
+def _detect(scene, queries, cfg: PerceptionConfig, seed: int | None, events: list | None):
+    """The detector behind ``perceive`` and ``perceive_with_log``.
+
+    Appends one PerceptionEvent per realized perturbation to ``events``;
+    with ``events=None`` no event or detail string is built. The noise
+    draws are the same either way.
+    """
     if not queries:
         raise ValueError("queries must be nonempty")
     rng = random.Random(cfg.seed if seed is None else seed)
-    events: list[PerceptionEvent] = []
     detected: list[SceneObject] = []
 
     for obj in scene.layout.objects:
         if not any(mention_matches(obj, q) for q in queries):
             continue
         if cfg.dropout_rate > 0 and rng.random() < cfg.dropout_rate:
-            events.append(PerceptionEvent("dropout", obj.object_id, obj.name))
+            if events is not None:
+                events.append(PerceptionEvent("dropout", obj.object_id, obj.name))
             continue
         bbox = obj.bbox
         if cfg.bbox_jitter_sigma > 0:
             bbox = _jitter_bbox(rng, bbox, cfg.bbox_jitter_sigma)
-            events.append(
-                PerceptionEvent("bbox-jitter", obj.object_id, f"{obj.bbox.as_list()} -> {bbox.as_list()}")
-            )
+            if events is not None:
+                detail = f"{obj.bbox.as_list()} -> {bbox.as_list()}"
+                events.append(PerceptionEvent("bbox-jitter", obj.object_id, detail))
         depth = _read_depth(scene, bbox, obj.depth)
         if cfg.depth_sigma > 0:
             noised = min(1.0, max(0.0, depth + rng.gauss(0.0, cfg.depth_sigma)))
-            events.append(PerceptionEvent("depth-noise", obj.object_id, f"{depth:.4f} -> {noised:.4f}"))
+            if events is not None:
+                detail = f"{depth:.4f} -> {noised:.4f}"
+                events.append(PerceptionEvent("depth-noise", obj.object_id, detail))
             depth = noised
         facing = obj.facing
         if cfg.facing_flip_rate > 0 and rng.random() < cfg.facing_flip_rate:
             facing = _misread_facing(rng, facing)
-            events.append(
-                PerceptionEvent("facing-flip", obj.object_id, f"{obj.facing.value} -> {facing.value}")
-            )
+            if events is not None:
+                detail = f"{obj.facing.value} -> {facing.value}"
+                events.append(PerceptionEvent("facing-flip", obj.object_id, detail))
         detected.append(obj.replace(bbox=bbox, depth=depth, facing=facing))
 
     if cfg.duplicate_rate > 0:
@@ -150,24 +157,26 @@ def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int | None = 
         for obj in detected:
             if rng.random() < cfg.duplicate_rate:
                 bbox = _duplicate_bbox(obj.bbox)
-                clone = SceneObject(
-                    name=obj.name,
-                    attributes=obj.attributes,
-                    object_id=next_id,
-                    bbox=bbox,
-                    depth=_read_depth(scene, bbox, obj.depth),
-                    facing=obj.facing,
-                )
-                events.append(PerceptionEvent("duplicate", obj.object_id, f"clone #{next_id}"))
-                clones.append(clone)
+                depth = _read_depth(scene, bbox, obj.depth)
+                clones.append(obj.replace(object_id=next_id, bbox=bbox, depth=depth))
+                if events is not None:
+                    events.append(PerceptionEvent("duplicate", obj.object_id, f"clone #{next_id}"))
                 next_id += 1
         detected.extend(clones)
 
-    layout = SceneLayout(tuple(detected), scene.layout.background)
+    return SceneLayout(tuple(detected), scene.layout.background)
+
+
+def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int | None = None):
+    """Like perceive, but also returns the realized perturbation events."""
+    events: list[PerceptionEvent] = []
+    layout = _detect(scene, queries, cfg, seed, events)
     return layout, tuple(events)
 
 
 def perceive(scene, queries, cfg: PerceptionConfig, seed: int | None = None) -> SceneLayout:
-    """Detect the queried objects in a symbolic scene under the noise model."""
-    layout, _ = perceive_with_log(scene, queries, cfg, seed=seed)
-    return layout
+    """Detect the queried objects in a symbolic scene under the noise model.
+
+    Builds no PerceptionEvent; ask ``perceive_with_log`` for those.
+    """
+    return _detect(scene, queries, cfg, seed, None)

@@ -286,7 +286,7 @@ def write_report(report: RunReport, path: str) -> None:
     write_ndjson(path, report.to_records())
 
 
-def _run_chunk(lines: list[tuple[int, str]], cfg: RunConfig) -> list[SampleTrajectory]:
+def _run_chunk(lines: list[tuple[int, bytes]], cfg: RunConfig) -> list[SampleTrajectory]:
     """Pool task: decode one contiguous chunk of dataset lines and run its samples."""
     # run_sample is looked up at call time, so a replacement of the module
     # attribute before the pool forks also runs in the workers

@@ -13,7 +13,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -251,7 +251,25 @@ class SceneObject:
             raise ValueError(f"facing must be a FacingDirection, got {self.facing!r}")
 
     def replace(self, **changes) -> "SceneObject":
-        return dc_replace(self, **changes)
+        """A copy with some fields changed, validated like a new object.
+
+        Same contract as ``dataclasses.replace``: ``__post_init__`` runs
+        and an unknown field is a TypeError. It copies the instance dict
+        instead of going through the generic per-field machinery, because
+        perception, the solver and the edit executor call it per object.
+        """
+        if not _OBJECT_FIELDS.issuperset(changes):
+            unknown = sorted(set(changes) - _OBJECT_FIELDS)
+            raise TypeError(f"SceneObject has no field(s) {unknown}")
+        new = object.__new__(type(self))
+        state = new.__dict__
+        state.update(self.__dict__)
+        state.update(changes)
+        new.__post_init__()
+        return new
+
+
+_OBJECT_FIELDS = frozenset(f.name for f in fields(SceneObject))
 
 
 def swap_extents(

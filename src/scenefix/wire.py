@@ -210,6 +210,7 @@ def annotation_from_json(data: dict) -> SpatialExpression:
 # datasets
 
 _SAMPLE_FIELDS = ("id", "prompt", "split", "source", "annotation", "gold_layout", "initial_layout")
+_TEXT_FIELDS = ("id", "prompt", "split", "source")
 
 
 def sample_to_record(sample) -> dict:
@@ -232,9 +233,10 @@ def sample_from_record(record: dict, line: int = 0):
     missing = [k for k in _SAMPLE_FIELDS if k not in record]
     if missing:
         raise DatasetError(f"record is missing fields {missing}", line=line)
-    if not isinstance(record["prompt"], str):
-        kind = type(record["prompt"]).__name__
-        raise DatasetError(f"prompt must be a string, got {kind}", line=line)
+    for key in _TEXT_FIELDS:
+        if not isinstance(record[key], str):
+            kind = type(record[key]).__name__
+            raise DatasetError(f"{key} must be a string, got {kind}", line=line)
     try:
         annotation = annotation_from_json(record["annotation"])
         background = annotation.background
@@ -273,10 +275,10 @@ def write_ndjson(path: str, records: Iterable[dict]) -> None:
         raise
 
 
-def read_lines(path: str) -> Iterator[tuple[int, str]]:
+def read_lines(path: str) -> Iterator[tuple[int, bytes]]:
     """The non-blank lines of an NDJSON file with their 1-based numbers, undecoded."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -285,12 +287,22 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
                 yield lineno, raw
 
 
-def decode_lines(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, object]]:
-    """Decode numbered lines from ``read_lines``; the first bad one is a DatasetError."""
+def decode_lines(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, object]]:
+    """Decode numbered lines from ``read_lines`` as UTF-8 JSON, in order.
+
+    The first line that is not UTF-8 or not JSON is a DatasetError. The
+    text is decoded here, not in ``read_lines``, so a worker pool that
+    decodes chunks of lines reports the same first bad line as a serial
+    read.
+    """
     for lineno, raw in lines:
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"line is not UTF-8: {exc}", line=lineno) from exc
+        try:
+            record = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             raise DatasetError(f"invalid JSON: {exc}", line=lineno) from exc
         yield lineno, record
 
@@ -303,7 +315,7 @@ def write_dataset(path: str, samples) -> None:
     write_ndjson(path, (sample_to_record(s) for s in samples))
 
 
-def decode_dataset(lines: Iterable[tuple[int, str]]) -> list:
+def decode_dataset(lines: Iterable[tuple[int, bytes]]) -> list:
     """Samples from numbered dataset lines, checked record by record in line order."""
     return [sample_from_record(record, line) for line, record in decode_lines(lines)]
 
@@ -320,6 +332,9 @@ def load_layouts(path: str) -> dict[str, SceneLayout]:
             raise DatasetError(
                 "layout record must be an object with 'id' and 'layout'", line=lineno
             )
+        if not isinstance(record["id"], str):
+            kind = type(record["id"]).__name__
+            raise DatasetError(f"layout record id must be a string, got {kind}", line=lineno)
         try:
             layouts[record["id"]] = parse_wire_layout(record["layout"])
         except (WireFormatError, DuplicateIdError, ValueError) as exc:

@@ -96,6 +96,14 @@ class TestRun:
         assert main(["run", "--dataset", str(out), "--rounds", "1"]) == 1
         assert "(line 2)" in capsys.readouterr().err
 
+    def test_non_utf8_dataset_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "bench.ndjson"
+        main(["generate", "--n", "2", "--out", str(out)])
+        capsys.readouterr()
+        out.write_bytes(out.read_bytes() + b"\xff\xfe{}\n")
+        assert main(["run", "--dataset", str(out), "--rounds", "1"]) == 1
+        assert "(line 3)" in capsys.readouterr().err
+
     def test_invalid_rounds_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "bench.ndjson")
         main(["generate", "--n", "2", "--out", out])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenefix import (
     CAMERA,
@@ -27,7 +29,7 @@ from scenefix.evaluate import (
     mention_matches,
 )
 
-from helpers import layout, obj
+from helpers import ATTR_POOL, layout, obj
 
 
 class TestMentionMatching:
@@ -37,6 +39,17 @@ class TestMentionMatching:
         assert mention_matches(o, ObjectMention("chair", ("red",)))
         assert not mention_matches(o, ObjectMention("chair", ("blue",)))
         assert not mention_matches(o, ObjectMention("table"))
+
+    @given(
+        st.lists(st.sampled_from(ATTR_POOL), max_size=4),
+        st.lists(st.sampled_from(ATTR_POOL), max_size=4),
+        st.sampled_from(["chair", "table"]),
+    )
+    def test_attribute_test_is_set_containment(self, have, want, name):
+        o = obj("chair", attrs=tuple(have))
+        mention = ObjectMention(name, tuple(want))
+        expected = name == "chair" and set(want) <= set(have)
+        assert mention_matches(o, mention) is expected
 
     def test_find_matching_filters(self):
         lay = layout(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scenefix.perception as perception
 from scenefix import (
     FacingDirection,
     ObjectMention,
@@ -14,7 +19,7 @@ from scenefix import (
 )
 from scenefix.perception import ZERO_NOISE, derive_seed
 
-from helpers import layout, obj
+from helpers import ATTR_POOL, NOUN_POOL, layout, obj, random_layout
 
 
 def _scene():
@@ -180,3 +185,42 @@ class TestEventLog:
         )
         _, events = perceive_with_log(_scene(), [CAT, DOG], cfg, seed=1)
         assert [(e.kind, e.object_id, e.detail) for e in events] == self.PINNED
+
+    def test_perceive_builds_no_event(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("perceive built a PerceptionEvent")
+
+        cfg = PerceptionConfig(
+            bbox_jitter_sigma=0.03,
+            depth_sigma=0.03,
+            facing_flip_rate=0.5,
+            dropout_rate=0.3,
+            duplicate_rate=0.5,
+        )
+        expected, events = perceive_with_log(_scene(), [CAT, DOG], cfg, seed=1)
+        assert events
+        monkeypatch.setattr(perception, "PerceptionEvent", refuse)
+        assert perceive(_scene(), [CAT, DOG], cfg, seed=1) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        layout_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.01, 0.2])] * 2),
+        rates=st.tuples(*[st.sampled_from([0.0, 0.05, 0.5, 1.0])] * 3),
+        queries=st.lists(
+            st.builds(
+                ObjectMention,
+                st.sampled_from(NOUN_POOL),
+                st.lists(st.sampled_from(ATTR_POOL), max_size=2).map(tuple),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_perceive_equals_the_logged_layout(self, layout_seed, seed, sigmas, rates, queries):
+        scene = scene_from_layout(random_layout(random.Random(layout_seed), max_objects=5))
+        cfg = PerceptionConfig(*sigmas, *rates)
+        assert perceive(scene, queries, cfg, seed=seed) == (
+            perceive_with_log(scene, queries, cfg, seed=seed)[0]
+        )

@@ -196,6 +196,28 @@ class TestWorkerPool:
             run_batch(RunConfig(dataset_path=str(path), workers=workers))
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_non_utf8_line_is_dataset_error(self, tmp_path, workers):
+        lines = [json.dumps(sample_to_record(s)).encode() for s in generate_for_lmd(40, seed=78)]
+        lines[30] = b"\xff\xfe{}"
+        path = tmp_path / "bench.ndjson"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DatasetError) as err:
+            run_batch(RunConfig(dataset_path=str(path), workers=workers))
+        assert err.value.line == 31
+        assert "not UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earlier_bad_record_wins_over_a_later_non_utf8_line(self, tmp_path, workers):
+        lines = [json.dumps(sample_to_record(s)).encode() for s in generate_for_lmd(40, seed=78)]
+        lines[4] = b"null"
+        lines[30] = b"\xff\xfe{}"
+        path = tmp_path / "bench.ndjson"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DatasetError) as err:
+            run_batch(RunConfig(dataset_path=str(path), workers=workers))
+        assert err.value.line == 5
+
     def test_pool_is_never_larger_than_the_chunk_count(self, tmp_path, monkeypatch):
         asked = []
 

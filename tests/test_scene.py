@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -226,6 +227,26 @@ class TestSceneObject:
         assert moved.name == "cat"
         assert moved.object_id == 3
         assert moved.facing is FacingDirection.LEFT
+
+    def test_replace_matches_the_dataclass_replace(self):
+        o = obj("cat", oid=3, attrs=("red",), facing=FacingDirection.LEFT)
+        changes = {"bbox": BBox(0.5, 0.5, 0.1, 0.1), "depth": 0.25, "object_id": 7}
+        moved = o.replace(**changes)
+        assert moved == dataclasses.replace(o, **changes)
+        assert hash(moved) == hash(dataclasses.replace(o, **changes))
+        assert o.depth == 0.5 and o.object_id == 3
+
+    def test_replace_validates_like_a_new_object(self):
+        o = obj("cat")
+        with pytest.raises(ValueError):
+            o.replace(depth=1.2)
+        with pytest.raises(ValueError):
+            o.replace(object_id=0)
+        assert o.replace(attributes=["red"]).attributes == ("red",)
+
+    def test_replace_rejects_unknown_fields(self):
+        with pytest.raises(TypeError):
+            obj("cat").replace(colour="red")
 
     @pytest.mark.parametrize("bad_id", [0, -2, 1.5])
     def test_bad_ids_rejected(self, bad_id):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from scenefix import (
     FacingDirection,
     WireFormatError,
     generate_for_lmd,
+    generate_forest_style,
     parse_wire_layout,
     read_dataset,
     serialize_wire_layout,
@@ -227,8 +231,109 @@ class TestDatasetFiles:
             reader(str(path))
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("reader", [read_dataset, load_layouts, read_ndjson])
+    def test_non_utf8_line_is_dataset_error(self, tmp_path, reader):
+        path = tmp_path / "records.ndjson"
+        path.write_bytes(b"\n\xff\xfe{}\n")
+        with pytest.raises(DatasetError) as err:
+            reader(str(path))
+        assert err.value.line == 2
+
     def test_load_layouts_needs_both_fields(self, tmp_path):
         path = tmp_path / "layouts.ndjson"
         write_ndjson(str(path), [{"id": "s1"}])
         with pytest.raises(DatasetError):
             load_layouts(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the NDJSON boundary: arbitrary byte lines in, only DatasetError out
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+_RECORDS = [
+    sample_to_record(s) for s in generate_for_lmd(3, seed=5) + generate_forest_style(2, seed=5)
+]
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON value, parents before children."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_record(draw):
+    """A valid sample record with one field, at any depth, deleted or retyped."""
+    record = copy.deepcopy(draw(st.sampled_from(_RECORDS)))
+    path = draw(st.sampled_from(list(_paths(record))))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON)
+    return record
+
+
+_LAYOUT_TEXT = st.sampled_from([r["gold_layout"] for r in _RECORDS])
+_LAYOUT_RECORD = st.fixed_dictionaries({
+    "id": st.text(max_size=6) | _JSON,
+    "layout": _LAYOUT_TEXT | _LAYOUT_TEXT.map(lambda t: t[: len(t) // 2]) | _JSON,
+})
+_LINE = st.one_of(
+    st.binary(max_size=40),
+    _JSON.map(json.dumps).map(str.encode),
+    _mutated_record().map(json.dumps).map(str.encode),
+    _LAYOUT_RECORD.map(json.dumps).map(str.encode),
+)
+
+
+class TestReaderBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINE, min_size=1, max_size=4))
+    def test_only_dataset_errors_escape(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.ndjson"
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            for reader in (read_dataset, load_layouts):
+                try:
+                    reader(str(path))
+                except DatasetError as err:
+                    assert err.line >= 1
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, "1" * 5000])
+    @pytest.mark.parametrize("reader", [read_dataset, load_layouts])
+    def test_json_the_decoder_refuses_is_dataset_error(self, tmp_path, reader, line):
+        path = tmp_path / "records.ndjson"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as err:
+            reader(str(path))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("key", ["id", "split", "source"])
+    def test_non_text_sample_field_is_dataset_error(self, tmp_path, key):
+        record = sample_to_record(generate_for_lmd(1, seed=1)[0])
+        record[key] = ["x"]
+        path = tmp_path / "records.ndjson"
+        write_ndjson(str(path), [record])
+        with pytest.raises(DatasetError) as err:
+            read_dataset(str(path))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("sample_id", [5, None, ["x"], {"a": 1}])
+    def test_non_text_layout_id_is_dataset_error(self, tmp_path, sample_id):
+        path = tmp_path / "layouts.ndjson"
+        write_ndjson(str(path), [{"id": sample_id, "layout": "[]"}])
+        with pytest.raises(DatasetError) as err:
+            load_layouts(str(path))
+        assert err.value.line == 1
