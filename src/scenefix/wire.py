@@ -297,11 +297,9 @@ def decode_lines(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, obje
     """
     for lineno, raw in lines:
         try:
-            text = raw.decode("utf-8")
+            record = json.loads(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DatasetError(f"line is not UTF-8: {exc}", line=lineno) from exc
-        try:
-            record = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             raise DatasetError(f"invalid JSON: {exc}", line=lineno) from exc
         yield lineno, record
