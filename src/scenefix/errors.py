@@ -28,7 +28,7 @@ class FacingUnknownError(SceneFixError):
 
 
 class UnsatisfiableError(SceneFixError):
-    """The clause set admits no layout (or none reachable under repair policy)."""
+    """The clause set admits no layout."""
 
 
 class ExpressionParseError(SceneFixError):

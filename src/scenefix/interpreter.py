@@ -10,15 +10,18 @@ layout in a fixed priority order:
    horizontal band at a default 0.25 x 0.25 size;
 3. rewrite attributes to satisfy the mention;
 4. set asserted facing directions;
-5. satisfy left/right clauses, swapping the two boxes' horizontal
-   extents when that settles every constraint the pair touches, else
-   repositioning the target alone inside its feasible range, near the
-   midpoint but avoiding overlap with other boxes when space allows;
-6. satisfy front/back clauses the same way on depths.
+5. satisfy left/right clauses: swap two boxes' horizontal extents where
+   that settles every clause the pair touches, then move the targets of
+   the clauses still violated into the open window their neighbours
+   leave, near its midpoint but clear of other boxes when space allows
+   (an object already inside its window stays). When the targets alone
+   have no room, every object named on the axis is placed that way;
+6. the same for front/back clauses on depths, at the window's midpoint.
 
-Objects not named in any violated clause are never touched, a proposal
-for an already-satisfied layout is the layout itself, and every accepted
-proposal passes the evaluator; otherwise UnsatisfiableError is raised.
+Objects named in no clause on an axis never move on it. A proposal for
+an already-satisfied layout is the layout itself, and every accepted
+proposal passes the evaluator; a cycle in an axis's order, or a
+placement that fails, raises UnsatisfiableError.
 
 The external route speaks newline-delimited JSON, one request object
 ``{"prompt": ..., "layout": ..., "round": ...}`` per line, over a child
@@ -36,6 +39,7 @@ import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .dsl import FRAME, Camera, SpatialExpression, parse_expression
 from .errors import (
@@ -52,7 +56,6 @@ from .evaluate import eval_frame_relation, eval_relation, evaluate, find_matchin
 from .scene import BBox, FacingDirection, Relation, SceneLayout, SceneObject, bbox_iou, swap_extents
 
 DEFAULT_ADDITION_SIZE = 0.25
-_MAX_REPAIR_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -186,73 +189,21 @@ def _camera_constraints(expr: SpatialExpression, name_to_id: dict[str, int]) -> 
     ]
 
 
-def _check_contradictions(constraints) -> None:
-    """Strict-order cycles and conflicting midline bounds are unsatisfiable."""
-    for axis_horizontal in (True, False):
-        edges: set[tuple[int, int]] = set()
-        bounds: dict[int, set[Relation]] = {}
-        for c in constraints:
-            if c.relation.horizontal != axis_horizontal:
-                continue
-            if c.relatum is None:
-                bounds.setdefault(c.target, set()).add(c.relation)
-                if len(bounds[c.target]) > 1:
-                    raise UnsatisfiableError(
-                        f"object #{c.target} is required on both sides of the midline"
-                    )
-                continue
-            lo, hi = c.order
-            if (hi, lo) in edges:
-                raise UnsatisfiableError(
-                    f"contradictory {'horizontal' if axis_horizontal else 'depth'} "
-                    f"order between #{lo} and #{hi}"
-                )
-            edges.add((lo, hi))
-        _reject_cycles(edges, "horizontal" if axis_horizontal else "depth")
+def _axis_order(axis, label: str) -> list[int | None]:
+    """Objects and the midline (None) in an order every clause on the axis follows.
 
-
-def _reject_cycles(edges: set[tuple[int, int]], label: str) -> None:
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-
-    def visit(node: int) -> None:
-        color[node] = GRAY
-        for nxt in adj.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GRAY:
-                raise UnsatisfiableError(f"cyclic {label} ordering constraints")
-            if state == WHITE:
-                visit(nxt)
-        color[node] = BLACK
-
-    for node in list(adj):
-        if color.get(node, WHITE) == WHITE:
-            visit(node)
-
-
-def _feasible_interval(oid: int, constraints, objs, horizontal: bool) -> tuple[float, float]:
-    if horizontal:
-        half = objs[oid].bbox.w / 2.0
-        lo, hi = half, 1.0 - half
-    else:
-        lo, hi = 0.0, 1.0
-    for c in constraints:
-        if c.relation.horizontal != horizontal or oid not in c.ids:
-            continue
+    A clause set with no such order (a pair ordered both ways, an object
+    on both sides of the midline, a longer loop) is unsatisfiable.
+    """
+    sorter: TopologicalSorter = TopologicalSorter()
+    for c in axis:
         lower, upper = c.order
-        other = upper if lower == oid else lower
-        if other is None:
-            val = 0.5
-        else:
-            val = objs[other].bbox.cx if horizontal else objs[other].depth
-        if lower == oid:
-            hi = min(hi, val)
-        else:
-            lo = max(lo, val)
-    return lo, hi
+        sorter.add(upper, lower)
+    try:
+        return list(sorter.static_order())
+    except CycleError as exc:
+        cycle = ", ".join("midline" if n is None else f"#{n}" for n in exc.args[1][:-1])
+        raise UnsatisfiableError(f"cyclic {label} ordering constraints through {cycle}") from exc
 
 
 def _choose_cx(lo: float, hi: float, obj: SceneObject, others) -> float:
@@ -277,60 +228,105 @@ def _choose_cx(lo: float, hi: float, obj: SceneObject, others) -> float:
     return best_cx
 
 
+def _place(work: _Work, axis, order, free, horizontal: bool) -> bool:
+    """Move only the objects in ``free`` so that every clause on the axis holds.
+
+    Each free object gets an open window: the frame, its fixed neighbours
+    (the midline at 0.5) and, taken backwards through ``order``, the caps of
+    its free upper neighbours. Walking forwards, an object keeps its value
+    when it lies inside its window and moves inside it otherwise. If any
+    window is empty or holds no float, nothing moves and the result is False.
+    """
+    objs = work.objs
+
+    def value(node: int | None) -> float:
+        if node is None:
+            return 0.5
+        return objs[node].bbox.cx if horizontal else objs[node].depth
+
+    lo: dict[int, float] = {}
+    hi: dict[int, float] = {}
+    lowers: dict[int, list[int]] = {}
+    uppers: dict[int, list[int]] = {}
+    for oid in free:
+        half = objs[oid].bbox.w / 2.0 if horizontal else 0.0
+        lo[oid], hi[oid], lowers[oid], uppers[oid] = half, 1.0 - half, [], []
+    for c in axis:
+        lower, upper = c.order
+        if lower in free and upper in free:
+            uppers[lower].append(upper)
+            lowers[upper].append(lower)
+        elif lower in free:
+            hi[lower] = min(hi[lower], value(upper))
+        elif upper in free:
+            lo[upper] = max(lo[upper], value(lower))
+    for node in reversed(order):
+        if node in free:
+            hi[node] = min([hi[node]] + [hi[up] for up in uppers[node]])
+    if any(not lo[oid] < hi[oid] for oid in free):
+        return False
+
+    # Kept values can leave a later window no float to take (a value one
+    # ulp below its upper neighbour's bound); then every free object moves.
+    for keep in (True, False):
+        objs = dict(work.objs)
+        moves: list[tuple[SceneObject, str]] = []
+        for node in order:
+            if node not in free:
+                continue
+            low = max([lo[node]] + [value(down) for down in lowers[node]])
+            if keep and low < value(node) < hi[node]:
+                continue
+            obj = objs[node]
+            if horizontal:
+                others = [o for k, o in objs.items() if k != node]
+                cx = _choose_cx(low, hi[node], obj, others)
+                bbox = BBox(cx - obj.bbox.w / 2.0, obj.bbox.y, obj.bbox.w, obj.bbox.h)
+                new = obj.replace(bbox=bbox)
+                note = f"moved {obj.name} #{node} to cx={cx:.3f}"
+            else:
+                new = obj.replace(depth=(low + hi[node]) / 2.0)
+                note = f"set depth of {obj.name} #{node} to {new.depth:.3f}"
+            objs[node] = new
+            if not low < value(node) < hi[node]:
+                break
+            moves.append((new, note))
+        else:
+            for new, note in moves:
+                work.put(new, note)
+            return True
+    return False
+
+
 def _repair_axis(work: _Work, constraints, horizontal: bool) -> None:
     axis = [c for c in constraints if c.relation.horizontal == horizontal]
-    if not axis:
+    for c in axis:
+        if c.relatum is None or c.holds(work.objs):
+            continue
+        a_id, b_id = c.ids
+        na, nb = swap_extents(work.objs[a_id], work.objs[b_id], horizontal)
+        trial = dict(work.objs)
+        trial[a_id], trial[b_id] = na, nb
+        touched = [k for k in axis if a_id in k.ids or b_id in k.ids]
+        if all(k.holds(trial) for k in touched):
+            what = "horizontal extents" if horizontal else "depths"
+            work.put(na)
+            work.put(nb, f"swapped {what} of {na.name} #{a_id} and {nb.name} #{b_id}")
+    violated = [c for c in axis if not c.holds(work.objs)]
+    if not violated:
         return
-    for _ in range(_MAX_REPAIR_PASSES):
-        dirty = False
-        for c in axis:
-            if c.holds(work.objs):
-                continue
-            dirty = True
-            if c.relatum is not None:
-                a_id, b_id = c.ids
-                na, nb = swap_extents(work.objs[a_id], work.objs[b_id], horizontal)
-                trial = dict(work.objs)
-                trial[a_id], trial[b_id] = na, nb
-                touched = [k for k in axis if a_id in k.ids or b_id in k.ids]
-                if all(k.holds(trial) for k in touched):
-                    what = "horizontal extents" if horizontal else "depths"
-                    work.put(na)
-                    work.put(nb, f"swapped {what} of {na.name} #{a_id} and {nb.name} #{b_id}")
-                    continue
-            # reposition/retune the clause target alone; a target wedged
-            # between neighbors (empty interval) yields to the other
-            # endpoint, which unblocks reversed chains
-            for target_id in c.ids:
-                lo, hi = _feasible_interval(target_id, axis, work.objs, horizontal)
-                if not lo < hi:
-                    continue  # final verification reports unsatisfiability
-                obj = work.objs[target_id]
-                if horizontal:
-                    others = [o for k, o in work.objs.items() if k != target_id]
-                    cx = _choose_cx(lo, hi, obj, others)
-                    new_bbox = BBox(cx - obj.bbox.w / 2.0, obj.bbox.y, obj.bbox.w, obj.bbox.h)
-                    work.put(
-                        obj.replace(bbox=new_bbox),
-                        f"moved {obj.name} #{target_id} to cx={cx:.3f}",
-                    )
-                else:
-                    mid = (lo + hi) / 2.0
-                    work.put(
-                        obj.replace(depth=mid),
-                        f"set depth of {obj.name} #{target_id} to {mid:.3f}",
-                    )
-                break
-        if not dirty:
-            return
+    order = _axis_order(axis, "horizontal" if horizontal else "depth")
+    if not _place(work, axis, order, {c.target for c in violated}, horizontal):
+        # no room for the targets alone; when every object on the axis has
+        # no room either, the final evaluation reports the clause set
+        _place(work, axis, order, {n for n in order if n is not None}, horizontal)
 
 
 def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutProposal:
     """Propose a corrected layout for a camera-frame expression.
 
     Raises ValueError when any clause still carries an object perspective
-    and UnsatisfiableError when the clause set cannot be satisfied under
-    the repair policy.
+    and UnsatisfiableError when the clause set cannot be satisfied.
     """
     for clause in expr.relations:
         if not isinstance(clause.perspective, Camera):
@@ -393,7 +389,6 @@ def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutPropo
     # 5./6. geometry
     name_to_id = {work.objs[oid].name: oid for oid in work.order}
     constraints = _camera_constraints(expr, name_to_id)
-    _check_contradictions(constraints)
     _repair_axis(work, constraints, horizontal=True)
     _repair_axis(work, constraints, horizontal=False)
 
@@ -442,7 +437,7 @@ def _parse_response_line(line: str, prompt: str) -> LayoutProposal:
 
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise ProtocolError(f"response is not valid JSON: {exc}") from exc
     if not isinstance(record, dict) or any(k not in record for k in _RESPONSE_FIELDS):
         raise ProtocolError(f"response must carry fields {_RESPONSE_FIELDS}")
@@ -458,7 +453,7 @@ def _parse_response_line(line: str, prompt: str) -> LayoutProposal:
 
 
 def _pump(stdout, lines: queue.Queue) -> None:
-    """Forward a child's stdout lines into a queue; None marks end of stream."""
+    """Forward a child's raw stdout lines into a queue; None marks end of stream."""
     for line in stdout:
         lines.put(line)
     lines.put(None)
@@ -483,11 +478,9 @@ class SubprocessInterpreter:
             self._argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
         )
         # each child gets its own queue, so a dying child's lines stay behind
-        self._lines: queue.Queue[str | None] = queue.Queue()
+        self._lines: queue.Queue[bytes | None] = queue.Queue()
         self._reader = threading.Thread(
             target=_pump, args=(self._proc.stdout, self._lines), daemon=True
         )
@@ -498,7 +491,7 @@ class SubprocessInterpreter:
         if self._proc.poll() is not None or self._proc.stdin is None:
             raise ProtocolError("interpreter process is not running")
         try:
-            self._proc.stdin.write(json.dumps(record) + "\n")
+            self._proc.stdin.write((json.dumps(record) + "\n").encode("utf-8"))
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"interpreter closed its stdin: {exc}") from exc
@@ -515,7 +508,11 @@ class SubprocessInterpreter:
             # writing into a closing pipe and waiting out the timeout
             self._stop(grace=0.0)
             raise ProtocolError("interpreter closed its stdout mid-session")
-        return _parse_response_line(line, prompt)
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"response line is not UTF-8: {exc}") from exc
+        return _parse_response_line(text, prompt)
 
     def _stop(self, grace: float) -> None:
         """Close the child's stdin, give it ``grace`` seconds to exit, then kill it."""

@@ -14,6 +14,9 @@ selects a behavior:
   sleep          stall long enough to trip client timeouts
   stall-first    stall for a second on round 0, then echo; echo other rounds
   close          exit immediately without replying
+  deep           reply with JSON nested 100,000 arrays deep
+  long-int       reply with a JSON integer of 5000 digits
+  not-utf8       reply with a line that is not UTF-8
 """
 
 from __future__ import annotations
@@ -78,6 +81,13 @@ def main() -> int:
             if record["round"] == 0:
                 time.sleep(1.0)
             respond(layout_text, prompt, f"round {record['round']}")
+        elif mode == "deep":
+            print("[" * 100_000, flush=True)
+        elif mode == "long-int":
+            print("1" * 5000, flush=True)
+        elif mode == "not-utf8":
+            sys.stdout.buffer.write(b"\xff\xfe not UTF-8\n")
+            sys.stdout.buffer.flush()
         else:
             raise SystemExit(f"unknown mode {mode!r}")
     return 0
