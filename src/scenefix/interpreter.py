@@ -32,10 +32,11 @@ process's stdio or HTTP POST, and expects ``{"updated_prompt": ...,
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import shlex
 import subprocess
-import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -415,8 +416,9 @@ def _validate_proposal_layout(layout: SceneLayout, prompt: str) -> None:
     """Count/attribute consistency of an external proposal with its prompt."""
     try:
         expr = parse_expression(prompt)
-    except ExpressionParseError:
-        return  # free-form prompt: range checks already passed, accept
+    except (ExpressionParseError, ValueError):
+        # free-form or self-contradictory prompt: range checks already passed, accept
+        return
     for mention in expr.mentions:
         n = len(find_matching(layout, mention))
         if n != 1:
@@ -452,39 +454,73 @@ def _parse_response_line(line: str, prompt: str) -> LayoutProposal:
     return LayoutProposal(layout=layout, rationale=(str(reasoning),) if reasoning else ())
 
 
-def _pump(stdout, lines: queue.Queue) -> None:
-    """Forward a child's raw stdout lines into a queue; None marks end of stream."""
-    for line in stdout:
-        lines.put(line)
-    lines.put(None)
+# Bytes asked of a child's stdout per read; a reply line is usually one read.
+_READ_CHUNK = 1 << 16
 
 
 class SubprocessInterpreter:
     """One external interpreter session over a child process's stdio.
 
-    A request that times out kills the child and starts a fresh one from
-    the same command line, so a late reply never answers a later request.
+    ``request`` writes the record and reads the reply on the calling
+    thread, waiting on the child's stdout with ``select.poll`` (POSIX
+    only). A request that times out kills the child and starts a fresh
+    one, with a fresh read buffer, from the same command line, so a late
+    reply never answers a later request.
     """
 
     def __init__(self, argv, timeout: float = 10.0):
         if isinstance(argv, str):
             argv = shlex.split(argv)
-        self.timeout = timeout
         self._argv = list(argv)
+        if not self._argv:
+            raise ValueError("interpreter command line is empty")
+        self.timeout = timeout
         self._start()
 
     def _start(self) -> None:
-        self._proc = subprocess.Popen(
-            self._argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
-        # each child gets its own queue, so a dying child's lines stay behind
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
-        self._reader = threading.Thread(
-            target=_pump, args=(self._proc.stdout, self._lines), daemon=True
-        )
-        self._reader.start()
+        try:
+            self._proc = subprocess.Popen(
+                self._argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+            )
+        except OSError as exc:
+            raise ProtocolError(f"cannot start interpreter {self._argv[0]!r}: {exc}") from exc
+        self._fd = self._proc.stdout.fileno()
+        self._poll = select.poll()
+        self._poll.register(self._fd, select.POLLIN)
+        self._buffer = bytearray()
+        self._eof = False
+
+    def _read_line(self) -> bytes | None:
+        """The child's next stdout line; None marks end of stream.
+
+        An unterminated tail before end of stream is returned as the last
+        line. Raises InterpreterTimeout when no full line arrives within
+        ``timeout`` seconds.
+        """
+        buffer = self._buffer
+        deadline = time.monotonic() + self.timeout
+        scanned = 0
+        while True:
+            end = buffer.find(b"\n", scanned)
+            if end >= 0:
+                line = bytes(buffer[:end + 1])
+                del buffer[:end + 1]
+                return line
+            if self._eof:
+                line = bytes(buffer) or None
+                buffer.clear()
+                return line
+            scanned = len(buffer)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._poll.poll(remaining * 1000.0):
+                raise InterpreterTimeout(f"no response within {self.timeout:.1f}s")
+            chunk = os.read(self._fd, _READ_CHUNK)
+            if chunk:
+                buffer += chunk
+            else:
+                self._eof = True
 
     def request(self, prompt: str, layout_wire: str, round_index: int) -> LayoutProposal:
         record = {"prompt": prompt, "layout": layout_wire, "round": round_index}
@@ -496,13 +532,11 @@ class SubprocessInterpreter:
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"interpreter closed its stdin: {exc}") from exc
         try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
+            line = self._read_line()
+        except InterpreterTimeout:
             self._stop(grace=0.0)
             self._start()
-            raise InterpreterTimeout(
-                f"no response within {self.timeout:.1f}s"
-            ) from None
+            raise
         if line is None:
             # stop the child now, so later requests fail at once instead of
             # writing into a closing pipe and waiting out the timeout
@@ -515,18 +549,21 @@ class SubprocessInterpreter:
         return _parse_response_line(text, prompt)
 
     def _stop(self, grace: float) -> None:
-        """Close the child's stdin, give it ``grace`` seconds to exit, then kill it."""
-        if self._proc.poll() is None:
-            if self._proc.stdin is not None:
-                try:
-                    self._proc.stdin.close()
-                except OSError:
-                    pass
-            try:
-                self._proc.wait(timeout=grace)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        """Close the child's stdin, give it ``grace`` seconds to exit, then kill it.
+
+        Its stdout is closed last: no reader thread drains it.
+        """
+        proc = self._proc
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def close(self) -> None:
         self._stop(grace=2.0)

@@ -308,9 +308,10 @@ def run_batch(cfg: RunConfig) -> RunReport:
     if cfg.workers > 1:
         trajectories = _run_pool(cfg)
     elif cfg.solver == "external":
-        samples = read_dataset(cfg.dataset_path)
+        # start the child first, so it starts up while the dataset is read
         session = make_interpreter(cfg.endpoint)
         try:
+            samples = read_dataset(cfg.dataset_path)
             trajectories = [run_sample(s, cfg, session) for s in samples]
         finally:
             session.close()

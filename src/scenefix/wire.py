@@ -56,7 +56,7 @@ _ENTRY_RE = re.compile(
         (?P<depth>{num})\s*,\s*
         (?:'(?P<facing>[A-Za-z]+)'|(?P<bare>[A-Za-z]+))
         \s*\)""".format(num=_NUMBER),
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -79,7 +79,8 @@ def serialize_wire_layout(layout: SceneLayout) -> str:
 
 def _split_head(head: str) -> tuple[str, tuple[str, ...], int]:
     base, sep, id_text = head.rpartition("#")
-    if not sep or not id_text.strip().isdigit():
+    id_text = id_text.strip()
+    if not sep or not (id_text.isascii() and id_text.isdigit()):
         raise WireFormatError(f"entry head {head!r} lacks a '#<id>' suffix")
     words = base.strip().split()
     if not words:
@@ -87,7 +88,7 @@ def _split_head(head: str) -> tuple[str, tuple[str, ...], int]:
     attrs: list[str] = []
     while len(words) > 1 and words[0] in ATTRIBUTE_WORDS:
         attrs.append(words.pop(0))
-    return " ".join(words), tuple(attrs), int(id_text.strip())
+    return " ".join(words), tuple(attrs), int(id_text)
 
 
 def _parse_facing(match: re.Match) -> FacingDirection:
@@ -119,7 +120,10 @@ def parse_wire_layout(text: str, background: str = DEFAULT_BACKGROUND) -> SceneL
         if match is None:
             raise WireFormatError(f"unparsable layout entry at offset {pos}: {body[pos:pos + 40]!r}")
         name, attrs, object_id = _split_head(match.group("head"))
-        numbers = [n for n in (s.strip() for s in match.group("bbox").split(",")) if n]
+        bbox_text = match.group("bbox")
+        if not bbox_text.isascii():
+            raise WireFormatError(f"bbox of {name!r} is not ASCII: {bbox_text[:40]!r}")
+        numbers = [n for n in (s.strip() for s in bbox_text.split(",")) if n]
         if len(numbers) != 4:
             raise WireFormatError(f"bbox of {name!r} must have 4 numbers, got {len(numbers)}")
         try:

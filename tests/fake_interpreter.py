@@ -17,6 +17,10 @@ selects a behavior:
   deep           reply with JSON nested 100,000 arrays deep
   long-int       reply with a JSON integer of 5000 digits
   not-utf8       reply with a line that is not UTF-8
+  split          echo, written in two flushes with a 50 ms pause mid-line
+  no-newline     echo once without a trailing newline, then exit
+  stall-mid-line on round 0 write half a reply, stall for a second, then
+                 finish it; echo other rounds
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import sys
 import time
 
 
-def respond(layout_text: str, prompt: str, reasoning: str = "") -> None:
-    print(
-        json.dumps(
-            {"updated_prompt": prompt, "layout": layout_text, "reasoning": reasoning}
-        ),
-        flush=True,
+def reply_text(layout_text: str, prompt: str, reasoning: str = "") -> str:
+    return json.dumps(
+        {"updated_prompt": prompt, "layout": layout_text, "reasoning": reasoning}
     )
+
+
+def respond(layout_text: str, prompt: str, reasoning: str = "") -> None:
+    print(reply_text(layout_text, prompt, reasoning), flush=True)
 
 
 def solve(prompt: str, layout_text: str) -> str:
@@ -88,6 +93,27 @@ def main() -> int:
         elif mode == "not-utf8":
             sys.stdout.buffer.write(b"\xff\xfe not UTF-8\n")
             sys.stdout.buffer.flush()
+        elif mode == "split":
+            text = reply_text(layout_text, prompt, "echoed in two parts") + "\n"
+            half = len(text) // 2
+            sys.stdout.write(text[:half])
+            sys.stdout.flush()
+            time.sleep(0.05)
+            sys.stdout.write(text[half:])
+            sys.stdout.flush()
+        elif mode == "stall-mid-line":
+            text = reply_text(layout_text, prompt, f"round {record['round']}") + "\n"
+            if record["round"] == 0:
+                sys.stdout.write(text[: len(text) // 2])
+                sys.stdout.flush()
+                time.sleep(1.0)
+                text = text[len(text) // 2:]
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        elif mode == "no-newline":
+            sys.stdout.write(reply_text(layout_text, prompt, "echoed without a newline"))
+            sys.stdout.flush()
+            return 0
         else:
             raise SystemExit(f"unknown mode {mode!r}")
     return 0

@@ -82,3 +82,13 @@ def random_layout(
         else:
             break
     return SceneLayout(tuple(objects))
+
+
+# Wire text with Unicode digits that str.isdigit() or float() accept and
+# the wire grammar must not.
+NON_ASCII_WIRE = (
+    "[('cat #²', [0.1, 0.1, 0.2, 0.2], 0.5, None)]",  # superscript two as the id
+    "[('cat #٣', [0.1, 0.1, 0.2, 0.2], 0.5, None)]",  # Arabic-Indic three as the id
+    "[('cat #1', [٠, 0, 0.1, 0.1], 0.5, None)]",  # Arabic-Indic zero in the box
+    "[('cat #1', [0, 0, 0.1, 0.1], ٠.5, None)]",  # Arabic-Indic zero in the depth
+)

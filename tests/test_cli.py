@@ -118,6 +118,36 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "--dataset", out, "--solver", "external"]) == 2
 
+    @pytest.mark.parametrize(
+        "endpoint, code, message",
+        [
+            ("/nonexistent/interp", 1, "error: cannot start interpreter"),
+            ("", 2, "invalid arguments: interpreter command line is empty"),
+            ("   ", 2, "invalid arguments: interpreter command line is empty"),
+        ],
+    )
+    def test_unusable_endpoint_is_a_typed_error(self, tmp_path, endpoint, code, message):
+        out = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "2", "--out", out])
+        proc = subprocess.run(
+            [sys.executable, "-m", "scenefix.cli", "run", "--dataset", out,
+             "--solver", "external", "--endpoint", endpoint],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_endpoint_is_reported_before_a_bad_dataset(self, tmp_path, capsys):
+        out = tmp_path / "bench.ndjson"
+        out.write_bytes(b"{not json\n")
+        code = main(["run", "--dataset", str(out), "--solver", "external",
+                     "--endpoint", "/nonexistent/interp"])
+        assert code == 1
+        assert "cannot start interpreter" in capsys.readouterr().err
+
 
 class TestRulesAndOracle:
     def test_rules_json_is_complete(self, capsys):

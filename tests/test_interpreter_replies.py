@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from scenefix import LayoutValidationError, ProtocolError, serialize_wire_layout
 from scenefix.benchgen import generate_for_lmd
-from scenefix.interpreter import SubprocessInterpreter, _parse_response_line
+from scenefix.interpreter import SubprocessInterpreter, _parse_response_line, external_suggest
 from scenefix.pipeline import RunConfig, run_batch
 from scenefix.wire import write_dataset
 
-from helpers import layout, obj
+from helpers import NON_ASCII_WIRE, layout, obj
 
 FAKE = str(Path(__file__).parent / "fake_interpreter.py")
 BAD_REPLIES = ("deep", "long-int", "not-utf8")
@@ -87,3 +87,19 @@ def test_any_reply_text_fails_only_with_typed_errors(text):
         _parse_response_line(text, PROMPT)
     except (ProtocolError, LayoutValidationError):
         pass
+
+
+@pytest.mark.parametrize("wire", NON_ASCII_WIRE)
+def test_non_ascii_id_or_number_in_reply_is_protocol_error(wire):
+    reply = json.dumps({"updated_prompt": PROMPT, "layout": wire, "reasoning": ""})
+    with pytest.raises(ProtocolError):
+        _parse_response_line(reply, PROMPT)
+
+
+def test_reply_to_a_self_contradictory_prompt_is_accepted():
+    # the prompt parses, but its perspective anchor is never mentioned:
+    # like a free-form prompt, only the reply's ranges are checked
+    prompt = "A cat is to the left of a dog from the horse's perspective."
+    lay = layout(obj("cat", oid=1, x=0.6), obj("dog", oid=2, x=0.1))
+    proposal = external_suggest(prompt, serialize_wire_layout(lay), f"{sys.executable} {FAKE} echo")
+    assert proposal.layout == lay

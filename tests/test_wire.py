@@ -36,7 +36,7 @@ from scenefix.wire import (
     write_ndjson,
 )
 
-from helpers import layout, obj, random_layout
+from helpers import NON_ASCII_WIRE, layout, obj, random_layout
 
 
 class TestNumberFormat:
@@ -337,3 +337,9 @@ class TestReaderBoundary:
         with pytest.raises(DatasetError) as err:
             load_layouts(str(path))
         assert err.value.line == 1
+
+
+@pytest.mark.parametrize("text", NON_ASCII_WIRE)
+def test_non_ascii_ids_and_numbers_are_wire_format_errors(text):
+    with pytest.raises(WireFormatError):
+        parse_wire_layout(text)
