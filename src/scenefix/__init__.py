@@ -7,7 +7,14 @@ a solver proposes a repaired layout, an edit engine diffs and applies
 the change to a symbolic scene, and an evaluator scores the result.
 Benchmark generation, a noise-model perception stand-in, and a wire
 protocol for external solvers round out the loop.
+
+The names from ``edits`` and ``pipeline``, the only modules that need
+numpy or a process pool, load on first use, so a program that only
+parses, converts and solves (an external interpreter, say) starts
+without them.
 """
+
+import importlib
 
 from .benchgen import (
     BenchmarkSample,
@@ -30,20 +37,6 @@ from .dsl import (
     parse_expression,
     render_expression,
 )
-from .edits import (
-    Addition,
-    AttributeModify,
-    DepthModify,
-    Deletion,
-    EditAction,
-    FacingModify,
-    Reposition,
-    SymbolicScene,
-    apply_actions,
-    apply_depth_formula,
-    diff_layouts,
-    scene_from_layout,
-)
 from .errors import (
     DatasetError,
     DuplicateIdError,
@@ -59,10 +52,10 @@ from .errors import (
     UnsatisfiableError,
     WireFormatError,
 )
+# eager: the function ``evaluate`` must shadow the submodule of that name
 from .evaluate import ErrorCategory, EvaluationResult, categorize_run, evaluate
 from .interpreter import LayoutProposal, external_suggest, suggest_layout
 from .perception import PerceptionConfig, perceive, perceive_with_log
-from .pipeline import RunConfig, RunReport, run_batch, run_round, run_sample
 from .rules import RULE_TABLE, ConversionRule, convert_expression, convert_relation
 from .scene import (
     BBox,
@@ -83,6 +76,43 @@ from .wire import (
 )
 
 __version__ = "0.1.0"
+
+# name -> submodule, for the names resolved on first use by __getattr__
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "Addition",
+            "AttributeModify",
+            "DepthModify",
+            "Deletion",
+            "EditAction",
+            "FacingModify",
+            "Reposition",
+            "SymbolicScene",
+            "apply_actions",
+            "apply_depth_formula",
+            "diff_layouts",
+            "scene_from_layout",
+        ),
+        "edits",
+    ),
+    **dict.fromkeys(
+        ("RunConfig", "RunReport", "run_batch", "run_round", "run_sample"), "pipeline"
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "Addition",

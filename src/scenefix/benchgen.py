@@ -195,6 +195,8 @@ def generate_for_lmd(
     to the relatum's own facing."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= intrinsic_ratio <= 1.0:
+        raise ValueError("intrinsic_ratio must be in [0, 1]")
     rng = random.Random(seed)
     samples = []
     for i in range(n):

@@ -31,9 +31,9 @@ def _add_generate(sub) -> None:
     p.add_argument("--seed", type=int, default=benchgen.DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.add_argument("--intrinsic-ratio", type=float, default=0.5,
-                   help="share of samples using the relatum's own perspective (for-lmd)")
+                   help="share of samples, in [0, 1], using the relatum's own perspective (for-lmd)")
     p.add_argument("--corrupt-fraction", type=float, default=0.8,
-                   help="share of samples given one seeded defect; 0 disables")
+                   help="share of samples, in [0, 1], given one seeded defect; 0 disables")
     p.add_argument("--injections", default=None,
                    help="optional NDJSON path for the injection ledger")
 
@@ -78,9 +78,8 @@ def _cmd_generate(args) -> int:
         samples = benchgen.generate_for_lmd(args.n, args.seed, args.intrinsic_ratio)
     else:
         samples = benchgen.generate_forest_style(args.n, args.seed)
-    injections = ()
-    if args.corrupt_fraction > 0:
-        samples, injections = benchgen.apply_corruption(samples, args.corrupt_fraction, args.seed)
+    # a fraction of 0 corrupts nothing; one outside [0, 1] is a ValueError
+    samples, injections = benchgen.apply_corruption(samples, args.corrupt_fraction, args.seed)
     write_dataset(args.out, samples)
     if args.injections:
         write_ndjson(

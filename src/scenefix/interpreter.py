@@ -26,7 +26,9 @@ placement that fails, raises UnsatisfiableError.
 The external route speaks newline-delimited JSON, one request object
 ``{"prompt": ..., "layout": ..., "round": ...}`` per line, over a child
 process's stdio or HTTP POST, and expects ``{"updated_prompt": ...,
-"layout": ..., "reasoning": ...}`` back.
+"layout": ..., "reasoning": ...}`` back. A session's ``request`` takes
+the prompt's parsed ``annotation`` when the caller has one, and checks
+the reply against it; otherwise it parses the prompt itself.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import select
 import shlex
 import subprocess
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
@@ -412,13 +412,21 @@ _RESPONSE_FIELDS = ("updated_prompt", "layout", "reasoning")
 _MAX_RESPONSE_BYTES = 1 << 20
 
 
-def _validate_proposal_layout(layout: SceneLayout, prompt: str) -> None:
-    """Count/attribute consistency of an external proposal with its prompt."""
-    try:
-        expr = parse_expression(prompt)
-    except (ExpressionParseError, ValueError):
-        # free-form or self-contradictory prompt: range checks already passed, accept
-        return
+def _validate_proposal_layout(
+    layout: SceneLayout, prompt: str, annotation: SpatialExpression | None = None
+) -> None:
+    """Count/attribute consistency of an external proposal with its prompt.
+
+    ``annotation`` is the prompt's parse when the caller holds it already
+    (a dataset sample's); without it the prompt is parsed here.
+    """
+    expr = annotation
+    if expr is None:
+        try:
+            expr = parse_expression(prompt)
+        except (ExpressionParseError, ValueError):
+            # free-form or self-contradictory prompt: range checks already passed, accept
+            return
     for mention in expr.mentions:
         n = len(find_matching(layout, mention))
         if n != 1:
@@ -434,7 +442,9 @@ def _validate_proposal_layout(layout: SceneLayout, prompt: str) -> None:
             raise LayoutValidationError(f"proposal invents unmentioned object {obj.name!r}")
 
 
-def _parse_response_line(line: str, prompt: str) -> LayoutProposal:
+def _parse_response_line(
+    line: str, prompt: str, annotation: SpatialExpression | None = None
+) -> LayoutProposal:
     from .wire import parse_wire_layout
 
     try:
@@ -449,7 +459,7 @@ def _parse_response_line(line: str, prompt: str) -> LayoutProposal:
         raise ProtocolError(f"unparsable layout in response: {exc}") from exc
     except (ValueError, DuplicateIdError) as exc:
         raise LayoutValidationError(str(exc)) from exc
-    _validate_proposal_layout(layout, prompt)
+    _validate_proposal_layout(layout, prompt, annotation)
     reasoning = record["reasoning"]
     return LayoutProposal(layout=layout, rationale=(str(reasoning),) if reasoning else ())
 
@@ -522,7 +532,13 @@ class SubprocessInterpreter:
             else:
                 self._eof = True
 
-    def request(self, prompt: str, layout_wire: str, round_index: int) -> LayoutProposal:
+    def request(
+        self,
+        prompt: str,
+        layout_wire: str,
+        round_index: int,
+        annotation: SpatialExpression | None = None,
+    ) -> LayoutProposal:
         record = {"prompt": prompt, "layout": layout_wire, "round": round_index}
         if self._proc.poll() is not None or self._proc.stdin is None:
             raise ProtocolError("interpreter process is not running")
@@ -546,7 +562,7 @@ class SubprocessInterpreter:
             text = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"response line is not UTF-8: {exc}") from exc
-        return _parse_response_line(text, prompt)
+        return _parse_response_line(text, prompt, annotation)
 
     def _stop(self, grace: float) -> None:
         """Close the child's stdin, give it ``grace`` seconds to exit, then kill it.
@@ -582,7 +598,16 @@ class HttpInterpreter:
         self.url = url
         self.timeout = timeout
 
-    def request(self, prompt: str, layout_wire: str, round_index: int) -> LayoutProposal:
+    def request(
+        self,
+        prompt: str,
+        layout_wire: str,
+        round_index: int,
+        annotation: SpatialExpression | None = None,
+    ) -> LayoutProposal:
+        import urllib.error
+        import urllib.request  # on first request: most sessions are stdio
+
         payload = json.dumps(
             {"prompt": prompt, "layout": layout_wire, "round": round_index}
         ).encode("utf-8")
@@ -604,7 +629,7 @@ class HttpInterpreter:
             text = body.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"response body is not UTF-8: {exc}") from exc
-        return _parse_response_line(text, prompt)
+        return _parse_response_line(text, prompt, annotation)
 
     def close(self) -> None:  # symmetry with the subprocess session
         pass

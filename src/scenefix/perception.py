@@ -16,6 +16,7 @@ buckets), and spurious duplicates appended after the main sweep.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -47,8 +48,9 @@ class PerceptionConfig:
 
     def __post_init__(self):
         for name in ("bbox_jitter_sigma", "depth_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("facing_flip_rate", "dropout_rate", "duplicate_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

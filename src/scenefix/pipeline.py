@@ -132,7 +132,9 @@ def run_round(
     if cfg.solver == "builtin":
         proposal = suggest_layout(convert_expression(expr, perceived), perceived)
     else:
-        proposal = session.request(sample.prompt, serialize_wire_layout(perceived), round_index)
+        proposal = session.request(
+            sample.prompt, serialize_wire_layout(perceived), round_index, annotation=expr
+        )
     actions = diff_layouts(perceived, proposal.layout)
     new_scene = apply_actions(scene, actions) if actions else scene
     checked = perceive(

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-import numpy as np
-
 from .errors import DuplicateIdError, EmptyRegionError
 
 # Tolerance for boxes that touch the right/bottom frame edge.
@@ -163,6 +161,8 @@ class DepthMap:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np  # on first use: numpy costs most of the package's import time
+
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"depth map must be a non-empty 2-d grid, got shape {arr.shape}")
@@ -221,6 +221,8 @@ def object_depth(depth: DepthMap, mask: frozenset[tuple[int, int]]) -> float:
     """Mean depth over an arbitrary pixel mask; boxes use :func:`box_depth`."""
     if not mask:
         raise EmptyRegionError("cannot average depth over an empty mask")
+    import numpy as np
+
     cols = np.fromiter((c for c, _ in mask), dtype=np.intp, count=len(mask))
     rows = np.fromiter((r for _, r in mask), dtype=np.intp, count=len(mask))
     if cols.min() < 0 or rows.min() < 0 or cols.max() >= depth.width or rows.max() >= depth.height:

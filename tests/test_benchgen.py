@@ -58,6 +58,11 @@ class TestForLmdGeneration:
         assert all(s.split == "relative" for s in all_rel)
         assert all(s.split == "intrinsic" for s in all_int)
 
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5, 7.0, float("nan")])
+    def test_intrinsic_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match="intrinsic_ratio"):
+            generate_for_lmd(5, seed=2, intrinsic_ratio=ratio)
+
     def test_deterministic_for_fixed_seed(self):
         assert generate_for_lmd(25, seed=9) == generate_for_lmd(25, seed=9)
         assert generate_for_lmd(25, seed=9) != generate_for_lmd(25, seed=10)

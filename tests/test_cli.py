@@ -24,7 +24,8 @@ class TestGenerate:
         assert "wrote 10 samples" in capsys.readouterr().out
         samples = read_dataset(out)
         assert len(samples) == 10
-        entries = [json.loads(l) for l in open(ledger, encoding="utf-8")]
+        with open(ledger, encoding="utf-8") as f:
+            entries = [json.loads(l) for l in f]
         assert len(entries) == 8  # 0.8 default corruption fraction
         assert all(
             set(e) == {"sample_id", "kind", "category", "detail"} for e in entries
@@ -39,6 +40,22 @@ class TestGenerate:
         assert code == 0
         assert "(0 injections)" in capsys.readouterr().out
         assert all(s.source == "forest-style" for s in read_dataset(out))
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--corrupt-fraction", "nan"),
+            ("--corrupt-fraction", "-0.5"),
+            ("--intrinsic-ratio", "7"),
+            ("--intrinsic-ratio", "nan"),
+        ],
+    )
+    def test_out_of_range_share_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.ndjson"
+        code = main(["generate", "--n", "5", flag, value, "--out", str(out)])
+        assert code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_fraction_exits_2(self, tmp_path, capsys):
         code = main([
@@ -83,7 +100,8 @@ class TestRun:
         ]
         assert lines[1].split()[0] == "0"
         assert lines[2].split()[:2] == ["1", "1.000"]
-        records = [json.loads(l) for l in open(report, encoding="utf-8")]
+        with open(report, encoding="utf-8") as f:
+            records = [json.loads(l) for l in f]
         assert records[-1]["summary"] is True
 
     def test_prompt_with_unmentioned_anchor_exits_1(self, tmp_path, capsys):
@@ -111,6 +129,15 @@ class TestRun:
         code = main(["run", "--dataset", out, "--rounds", "99"])
         assert code == 2
         assert "invalid arguments:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--perception-bbox-jitter", "--perception-depth-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "2", "--out", out])
+        capsys.readouterr()
+        assert main(["run", "--dataset", out, "--rounds", "1", flag, value]) == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
 
     def test_external_without_endpoint_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "bench.ndjson")

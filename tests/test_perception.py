@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             PerceptionConfig(bbox_jitter_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["bbox_jitter_sigma", "depth_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sigmas_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            PerceptionConfig(**{field: value})
+
     def test_noiseless_flag(self):
         assert ZERO_NOISE.noiseless
         assert not PerceptionConfig(depth_sigma=0.01).noiseless

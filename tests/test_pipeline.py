@@ -34,6 +34,14 @@ def _dataset(tmp_path, samples, name="bench.ndjson"):
     return path
 
 
+def _verdicts(report):
+    """Per sample: id, correct per round, errored."""
+    return [
+        (t.sample_id, tuple(t.correct_at(r) for r in range(len(report.accuracy))), t.error is not None)
+        for t in report.trajectories
+    ]
+
+
 @pytest.fixture(scope="module")
 def corrupted_dataset(tmp_path_factory):
     samples = generate_for_lmd(40, seed=78)
@@ -124,7 +132,8 @@ class TestBatchRuns:
         p1, p2 = str(tmp_path / "r1.ndjson"), str(tmp_path / "r2.ndjson")
         run_batch(RunConfig(dataset_path=path, rounds=1, report_path=p1))
         run_batch(RunConfig(dataset_path=path, rounds=1, report_path=p2))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_report_records_shape(self, corrupted_dataset, tmp_path):
         path, _ = corrupted_dataset
@@ -132,7 +141,8 @@ class TestBatchRuns:
         report = run_batch(
             RunConfig(dataset_path=path, rounds=1, report_path=report_path)
         )
-        lines = [json.loads(l) for l in open(report_path, encoding="utf-8")]
+        with open(report_path, encoding="utf-8") as f:
+            lines = [json.loads(l) for l in f]
         assert len(lines) == len(report.trajectories) + 1
         summary = lines[-1]
         assert summary["summary"] is True
@@ -302,6 +312,26 @@ class TestExternalSolver:
         report = run_batch(cfg)
         assert report.accuracy[1] == 1.0
 
+    @pytest.mark.parametrize("source", ["for-lmd", "forest-style"])
+    def test_external_verdicts_match_builtin_without_reparsing(self, tmp_path, monkeypatch, source):
+        """Replies are validated against the sample's parsed annotation, so
+        the interpreter module never parses a dataset prompt again."""
+        generate = generate_for_lmd if source == "for-lmd" else generate_forest_style
+        samples, _ = apply_corruption(generate(30, seed=101), fraction=0.8, seed=101)
+        path = _dataset(tmp_path, samples)
+        builtin = run_batch(RunConfig(dataset_path=path, rounds=1))
+
+        def reparse(prompt):
+            raise AssertionError(f"prompt parsed again: {prompt!r}")
+
+        monkeypatch.setattr("scenefix.interpreter.parse_expression", reparse)
+        external = run_batch(RunConfig(
+            dataset_path=path, rounds=1, solver="external",
+            endpoint=f"{sys.executable} {FAKE} solve",
+        ))
+        assert _verdicts(external) == _verdicts(builtin)
+        assert external.accuracy[1] == 1.0
+
     def test_external_malformed_marks_samples_errored(self, tmp_path):
         samples = generate_for_lmd(4, seed=78)
         path = _dataset(tmp_path, samples)
@@ -332,5 +362,6 @@ class TestReportBuilding:
         report = build_report(trajectories, rounds=1)
         path = str(tmp_path / "report.ndjson")
         write_report(report, path)
-        lines = [json.loads(l) for l in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as f:
+            lines = [json.loads(l) for l in f]
         assert lines[-1]["samples"] == 3

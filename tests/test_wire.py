@@ -170,7 +170,8 @@ class TestDatasetFiles:
         p1, p2 = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
         write_dataset(p1, samples)
         write_dataset(p2, samples)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "broken.ndjson"
