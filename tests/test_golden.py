@@ -7,6 +7,10 @@ alters a single byte trips this test. Zero noise keeps the digests free
 of numpy rounding, because perception snaps depth reads to the stored
 value.
 
+The for-lmd report is also pinned over three zero-noise rounds, run
+serially and with two workers: only there does a round start from the
+layout that the previous round's closing perception pass produced.
+
 One noisy configuration is pinned as well, through a float-free
 projection of its report: per sample the id, the error, each round's
 verdict and failure categories, and each action's kind and object id.
@@ -47,6 +51,9 @@ GOLDEN = {
     },
 }
 
+MULTI_ROUNDS = 3
+MULTI_ROUND_REPORT = "fac8dadfda5d102f5de9c6ff2ca00de96b38b77a298f4732720ccf615c2d722a"
+
 NOISY_ROUNDS = 3
 NOISE_FLAGS = [
     "--perception-bbox-jitter", "0.02", "--perception-depth-sigma", "0.02",
@@ -67,6 +74,19 @@ def _digests(source: str, workdir: Path) -> dict[str, str]:
         "--seed", str(SEED), "--report", str(paths["report"]),
     ]) == 0
     return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+
+
+def _multi_round_digest(workdir: Path, workers: int) -> str:
+    dataset, report = workdir / "dataset.ndjson", workdir / "report.ndjson"
+    assert main([
+        "generate", "--source", "for-lmd", "--n", str(SAMPLES), "--seed", str(SEED),
+        "--out", str(dataset),
+    ]) == 0
+    assert main([
+        "run", "--dataset", str(dataset), "--rounds", str(MULTI_ROUNDS),
+        "--seed", str(SEED), "--report", str(report), "--workers", str(workers),
+    ]) == 0
+    return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
 def _decisions(record: dict) -> dict:
@@ -106,6 +126,11 @@ def test_outputs_are_byte_identical(source, tmp_path):
     assert _digests(source, tmp_path) == GOLDEN[source]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_noise_multi_round_report_is_pinned(workers, tmp_path):
+    assert _multi_round_digest(tmp_path, workers) == MULTI_ROUND_REPORT
+
+
 def test_noisy_decisions_are_pinned(tmp_path):
     assert _noisy_decisions_digest(tmp_path) == NOISY_DECISIONS
 
@@ -118,5 +143,7 @@ if __name__ == "__main__":
         for name, digest in digests.items():
             print(f'        "{name}": "{digest}",', file=sys.stderr)
         print("    },", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'MULTI_ROUND_REPORT = "{_multi_round_digest(Path(tmp), 1)}"', file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         print(f'NOISY_DECISIONS = "{_noisy_decisions_digest(Path(tmp))}"', file=sys.stderr)
