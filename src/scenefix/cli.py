@@ -30,8 +30,9 @@ def _add_generate(sub) -> None:
     p.add_argument("--n", type=int, default=benchgen.DEFAULT_SAMPLE_COUNT)
     p.add_argument("--seed", type=int, default=benchgen.DEFAULT_SEED)
     p.add_argument("--out", required=True)
-    p.add_argument("--intrinsic-ratio", type=float, default=0.5,
-                   help="share of samples, in [0, 1], using the relatum's own perspective (for-lmd)")
+    p.add_argument("--intrinsic-ratio", type=float, default=None,
+                   help="share of samples, in [0, 1], using the relatum's own perspective "
+                        "(for-lmd only; default 0.5)")
     p.add_argument("--corrupt-fraction", type=float, default=0.8,
                    help="share of samples, in [0, 1], given one seeded defect; 0 disables")
     p.add_argument("--injections", default=None,
@@ -75,7 +76,10 @@ def _add_oracle(sub) -> None:
 
 def _cmd_generate(args) -> int:
     if args.source == "for-lmd":
-        samples = benchgen.generate_for_lmd(args.n, args.seed, args.intrinsic_ratio)
+        ratio = 0.5 if args.intrinsic_ratio is None else args.intrinsic_ratio
+        samples = benchgen.generate_for_lmd(args.n, args.seed, ratio)
+    elif args.intrinsic_ratio is not None:
+        raise ValueError("--intrinsic-ratio applies to --source for-lmd only")
     else:
         samples = benchgen.generate_forest_style(args.n, args.seed)
     # a fraction of 0 corrupts nothing; one outside [0, 1] is a ValueError

@@ -34,6 +34,7 @@ from .scene import (
     SceneObject,
     bbox_iou,
     box_depth,
+    grid_bounds,
     rect_bounds,
 )
 
@@ -113,9 +114,8 @@ def scene_from_layout(
 ) -> SymbolicScene:
     """Synthesize a depth grid for a layout: uniform patches over background."""
     arr = np.full((height, width), float(background_depth), dtype=np.float64)
-    probe = DepthMap(arr)
     for obj in layout.objects:
-        c0, c1, r0, r1 = rect_bounds(probe, obj.bbox)
+        c0, c1, r0, r1 = grid_bounds(width, height, obj.bbox)
         arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
     return SymbolicScene(layout=layout, depth=DepthMap(arr))
 

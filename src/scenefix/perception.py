@@ -120,7 +120,8 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int | None, events: lis
     """
     if not queries:
         raise ValueError("queries must be nonempty")
-    rng = random.Random(cfg.seed if seed is None else seed)
+    # every draw below is guarded by a positive rate or sigma
+    rng = None if cfg.noiseless else random.Random(cfg.seed if seed is None else seed)
     detected: list[SceneObject] = []
 
     for obj in scene.layout.objects:

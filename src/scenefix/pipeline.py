@@ -1,12 +1,15 @@
 """Run the perceive / interpret / plan / apply / evaluate loop over a dataset.
 
 Round 0 is a pure evaluation of each sample's initial scene as seen by
-the perceiver. Every later round re-perceives the current scene, rewrites
+the perceiver. Every later round perceives the current scene, rewrites
 intrinsic clauses into the camera frame, asks the configured solver for a
 revised layout, applies the diff to the scene, and evaluates the result
-through a fresh perception pass. Per-sample failures (unsatisfiable
-clause sets, protocol violations, impossible edits) mark that sample as
-errored and count as incorrect without stopping the batch.
+through a fresh perception pass. At zero noise a round starts from the
+layout the last round boundary perceived instead of perceiving the same
+scene again, because that pass would return the same layout. Per-sample
+failures (unsatisfiable clause sets, protocol violations, impossible
+edits) mark that sample as errored and count as incorrect without
+stopping the batch.
 
 Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
@@ -54,6 +57,7 @@ from .evaluate import EvaluationResult, categorize_run, evaluate
 from .interpreter import make_interpreter, suggest_layout
 from .perception import ZERO_NOISE, PerceptionConfig, derive_seed, perceive
 from .rules import convert_expression
+from .scene import SceneLayout
 from .wire import decode_dataset, read_dataset, read_lines, serialize_wire_layout, write_ndjson
 
 logger = logging.getLogger(__name__)
@@ -121,14 +125,25 @@ class SampleTrajectory:
 
 
 def run_round(
-    sample: BenchmarkSample, scene: SymbolicScene, cfg: RunConfig, round_index: int, session=None
+    sample: BenchmarkSample,
+    scene: SymbolicScene,
+    cfg: RunConfig,
+    round_index: int,
+    session=None,
+    perceived: SceneLayout | None = None,
 ):
-    """One correction round; returns (new scene, evaluation, actions)."""
+    """One correction round; returns (new scene, evaluation, actions, checked layout).
+
+    ``perceived`` is the scene as the last round boundary perceived it;
+    without it the round perceives the scene itself. ``run_sample`` passes
+    it only at zero noise, where a fresh pass would return the same layout.
+    """
     expr = sample.annotation
-    perceived = perceive(
-        scene, expr.mentions, cfg.perception,
-        seed=derive_seed(cfg.seed, sample.id, round_index, "in"),
-    )
+    if perceived is None:
+        perceived = perceive(
+            scene, expr.mentions, cfg.perception,
+            seed=derive_seed(cfg.seed, sample.id, round_index, "in"),
+        )
     if cfg.solver == "builtin":
         proposal = suggest_layout(convert_expression(expr, perceived), perceived)
     else:
@@ -141,20 +156,23 @@ def run_round(
         new_scene, expr.mentions, cfg.perception,
         seed=derive_seed(cfg.seed, sample.id, round_index, "out"),
     )
-    return new_scene, evaluate(expr, checked), tuple(actions)
+    return new_scene, evaluate(expr, checked), tuple(actions), checked
 
 
 def run_sample(sample: BenchmarkSample, cfg: RunConfig, session=None) -> SampleTrajectory:
     scene = scene_from_layout(sample.initial_layout)
-    initial = perceive(
+    checked = perceive(
         scene, sample.annotation.mentions, cfg.perception,
         seed=derive_seed(cfg.seed, sample.id, 0, "out"),
     )
-    outcomes = [RoundOutcome(0, evaluate(sample.annotation, initial))]
+    outcomes = [RoundOutcome(0, evaluate(sample.annotation, checked))]
+    carry = cfg.perception.noiseless
     error = None
     for round_index in range(1, cfg.rounds + 1):
         try:
-            scene, result, actions = run_round(sample, scene, cfg, round_index, session)
+            scene, result, actions, checked = run_round(
+                sample, scene, cfg, round_index, session, checked if carry else None
+            )
         except _SAMPLE_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
             logger.info("sample %s failed at round %d: %s", sample.id, round_index, error)

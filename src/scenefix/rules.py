@@ -15,9 +15,9 @@ d=back.  Test failures and exports cite these ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .dsl import Camera, Intrinsic, RelationClause, SpatialExpression
+from .dsl import CAMERA, Camera, Intrinsic, RelationClause, SpatialExpression
 from .errors import FacingUnknownError, UnknownObjectError
 from .scene import FacingDirection, Relation, SceneLayout
 
@@ -147,5 +147,8 @@ def convert_expression(expr: SpatialExpression, layout: SceneLayout) -> SpatialE
             relation = camera_relation(clause, expr, layout)
         except UnknownObjectError as exc:
             raise FacingUnknownError(str(exc)) from exc
-        converted.append(replace(clause, relation=relation, perspective=Camera()))
-    return replace(expr, relations=tuple(converted))
+        converted.append(RelationClause(clause.target, relation, clause.relatum, CAMERA))
+    return SpatialExpression(
+        expr.mentions, tuple(converted), expr.facings, expr.negations, expr.background,
+        expr.raw_text,
+    )

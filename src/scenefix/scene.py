@@ -114,18 +114,25 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"bbox field {name} must be finite, got {v!r}")
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError(f"bbox corner out of frame: ({self.x}, {self.y})")
-        if self.w <= 0.0 or self.h <= 0.0:
-            raise ValueError(f"bbox needs positive size, got {self.w} x {self.h}")
-        if self.x + self.w > 1.0 + EPS_CLAMP or self.y + self.h > 1.0 + EPS_CLAMP:
-            raise ValueError(
-                f"bbox extends past the frame: x+w={self.x + self.w}, y+h={self.y + self.h}"
-            )
+        # unrolled: perception and the solver build tens of thousands of boxes per batch
+        x = self.x
+        if not isinstance(x, (int, float)) or not math.isfinite(x):
+            raise ValueError(f"bbox field x must be finite, got {x!r}")
+        y = self.y
+        if not isinstance(y, (int, float)) or not math.isfinite(y):
+            raise ValueError(f"bbox field y must be finite, got {y!r}")
+        w = self.w
+        if not isinstance(w, (int, float)) or not math.isfinite(w):
+            raise ValueError(f"bbox field w must be finite, got {w!r}")
+        h = self.h
+        if not isinstance(h, (int, float)) or not math.isfinite(h):
+            raise ValueError(f"bbox field h must be finite, got {h!r}")
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ValueError(f"bbox corner out of frame: ({x}, {y})")
+        if w <= 0.0 or h <= 0.0:
+            raise ValueError(f"bbox needs positive size, got {w} x {h}")
+        if x + w > 1.0 + EPS_CLAMP or y + h > 1.0 + EPS_CLAMP:
+            raise ValueError(f"bbox extends past the frame: x+w={x + w}, y+h={y + h}")
 
     @property
     def cx(self) -> float:
@@ -184,13 +191,17 @@ class DepthMap:
 
 
 def rect_bounds(depth: DepthMap, b: BBox) -> tuple[int, int, int, int]:
-    """Inclusive pixel bounds (col0, col1, row0, row1) of a box on a grid.
+    """Inclusive pixel bounds (col0, col1, row0, row1) of a box on a depth grid."""
+    return grid_bounds(depth.width, depth.height, b)
+
+
+def grid_bounds(w: int, h: int, b: BBox) -> tuple[int, int, int, int]:
+    """Inclusive pixel bounds (col0, col1, row0, row1) of a box on a w x h grid.
 
     A pixel belongs to the box when its center falls inside [x, x+w) x
     [y, y+h).  Raises EmptyRegionError when no center qualifies (box
     smaller than one pixel at this resolution).
     """
-    w, h = depth.width, depth.height
     c0 = max(0, math.ceil(w * b.x - 0.5))
     c1 = min(w - 1, math.ceil(w * (b.x + b.w) - 0.5) - 1)
     r0 = max(0, math.ceil(h * b.y - 0.5))

@@ -57,6 +57,23 @@ class TestGenerate:
         assert "must be in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["7", "0.5"])
+    def test_intrinsic_ratio_is_rejected_for_forest_style(self, tmp_path, capsys, value):
+        out = tmp_path / "x.ndjson"
+        code = main([
+            "generate", "--source", "forest-style", "--n", "5",
+            "--intrinsic-ratio", value, "--out", str(out),
+        ])
+        assert code == 2
+        assert "--intrinsic-ratio applies to --source for-lmd only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_for_lmd_intrinsic_ratio_defaults_to_half(self, tmp_path):
+        default, half = tmp_path / "default.ndjson", tmp_path / "half.ndjson"
+        assert main(["generate", "--n", "20", "--out", str(default)]) == 0
+        assert main(["generate", "--n", "20", "--intrinsic-ratio", "0.5", "--out", str(half)]) == 0
+        assert default.read_bytes() == half.read_bytes()
+
     def test_bad_fraction_exits_2(self, tmp_path, capsys):
         code = main([
             "generate", "--n", "5", "--corrupt-fraction", "1.5",

@@ -96,6 +96,18 @@ class TestNoiselessRead:
         out = perceive(SymbolicScene(tampered, scene.depth), [DOG], ZERO_NOISE)
         assert out.find(2).depth == pytest.approx(0.3, abs=1e-9)
 
+    def test_builds_no_rng(self, monkeypatch):
+        def unseeded(*args):
+            raise AssertionError("a noiseless pass built an RNG")
+
+        monkeypatch.setattr(perception.random, "Random", unseeded)
+        scene = _scene()
+        out = perceive(scene, [CAT, DOG], ZERO_NOISE, seed=derive_seed(78, "s1", 1, "in"))
+        assert out.objects == scene.layout.objects
+        # the patch is live: any noise knob still seeds a generator
+        with pytest.raises(AssertionError, match="built an RNG"):
+            perceive(scene, [CAT, DOG], PerceptionConfig(facing_flip_rate=0.01))
+
 
 class TestNoiseKnobs:
     def test_full_dropout_empties_the_layout(self):

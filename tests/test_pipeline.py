@@ -22,6 +22,7 @@ from scenefix import (
     run_sample,
     write_dataset,
 )
+from scenefix.perception import ZERO_NOISE
 from scenefix.pipeline import build_report, write_report
 from scenefix.wire import sample_to_record
 
@@ -89,6 +90,30 @@ class TestSingleSample:
             assert not trajectory.correct_at(0)
             assert trajectory.correct_at(1)
             assert trajectory.rounds[1].actions
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_perception_passes_per_sample(self, monkeypatch, rounds, noisy):
+        """At zero noise a round starts from the last boundary's perception,
+        so a sample perceives once per boundary; with noise every round
+        perceives its input again."""
+        calls = []
+        original = pipeline.perceive
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "perceive", counting)
+        perception = PerceptionConfig(bbox_jitter_sigma=0.01) if noisy else ZERO_NOISE
+        cfg = RunConfig(dataset_path="unused", rounds=rounds, perception=perception)
+        samples, _ = apply_corruption(generate_for_lmd(10, seed=78), fraction=0.8, seed=78)
+        for sample in samples:
+            calls.clear()
+            trajectory = run_sample(sample, cfg)
+            assert trajectory.error is None, trajectory.error
+            assert len(calls) == (2 * rounds + 1 if noisy else rounds + 1)
+            assert len(set(calls)) == len(calls)
 
     def test_rounds_zero_is_pure_evaluation(self):
         sample = generate_for_lmd(1, seed=5)[0]
