@@ -175,6 +175,10 @@ _PERSP_VIEW_RE = re.compile(
 )
 _PERSP_REL_RE = re.compile(r"^relative\s+to\s+(?:the\s+)?(?P<owner>.+?)$", re.IGNORECASE)
 
+_SENTENCE_RE = re.compile(r"[^.]+")
+_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
+_NOUN_RE = re.compile(r"[a-z][a-z -]*")
+
 _CAMERA_OWNERS = frozenset({"camera", "observer", "viewer", "me"})
 
 _FACING_CORE = {
@@ -210,18 +214,18 @@ _FACING_SUFFIXES = (
 
 
 def _parse_np(text: str, offset: int) -> tuple[str, tuple[str, ...]]:
-    words = text.strip().split()
-    if words and words[0].lower() in ARTICLES:
-        words = words[1:]
-    attrs: list[str] = []
-    while len(words) > 1 and words[0].lower() in ATTRIBUTE_WORDS:
-        attrs.append(words.pop(0).lower())
-    if not words:
+    words = [w.lower() for w in text.split()]
+    first = 1 if words and words[0] in ARTICLES else 0
+    last = len(words) - 1
+    i = first
+    while i < last and words[i] in ATTRIBUTE_WORDS:
+        i += 1
+    if i > last:
         raise ExpressionParseError(f"empty noun phrase in {text!r}", offset)
-    noun = " ".join(w.lower() for w in words)
-    if not re.fullmatch(r"[a-z][a-z -]*", noun):
+    noun = " ".join(words[i:])
+    if not _NOUN_RE.fullmatch(noun):
         raise ExpressionParseError(f"cannot read {text!r} as a noun phrase", offset)
-    return noun, tuple(attrs)
+    return noun, tuple(words[first:i])
 
 
 def _parse_perspective(text: str | None, offset: int) -> Camera | Intrinsic:
@@ -283,20 +287,26 @@ class _Builder:
         return tuple(ObjectMention(n, tuple(self.attrs[n])) for n in self.order)
 
 
+def _byte_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 def _segments(text: str, base: int):
     """Yield (segment, byte_offset) pairs: sentences split on '.', then ' and '."""
-    for sm in re.finditer(r"[^.]+", text):
+    # an ASCII text's byte offsets are its character positions
+    ascii = text.isascii()
+    for sm in _SENTENCE_RE.finditer(text):
         sentence = sm.group(0)
-        start = base + len(text[: sm.start()].encode("utf-8"))
+        start = base + (sm.start() if ascii else _byte_len(text[: sm.start()]))
         pos = 0
-        for am in re.finditer(r"\s+and\s+", sentence, re.IGNORECASE):
-            seg = sentence[pos : am.start()]
-            if seg.strip():
-                yield seg.strip(), start + len(sentence[:pos].encode("utf-8"))
+        for am in _AND_RE.finditer(sentence):
+            seg = sentence[pos : am.start()].strip()
+            if seg:
+                yield seg, start + (pos if ascii else _byte_len(sentence[:pos]))
             pos = am.end()
-        seg = sentence[pos:]
-        if seg.strip():
-            yield seg.strip(), start + len(sentence[:pos].encode("utf-8"))
+        seg = sentence[pos:].strip()
+        if seg:
+            yield seg, start + (pos if ascii else _byte_len(sentence[:pos]))
 
 
 def parse_expression(text: str) -> SpatialExpression:
@@ -309,7 +319,7 @@ def parse_expression(text: str) -> SpatialExpression:
         raise ExpressionParseError("empty expression", 0)
     work = text.strip()
     background = DEFAULT_BACKGROUND
-    base = len(text.encode("utf-8")) - len(text.lstrip().encode("utf-8"))
+    base = _byte_len(text) - _byte_len(text.lstrip())
 
     bg_match = _BG_RE.match(work)
     if bg_match is not None:
@@ -318,7 +328,7 @@ def parse_expression(text: str) -> SpatialExpression:
         sep = bg_match.group("sep").lower()
         # "without" introduces a negation and must stay in the clause text
         cut = bg_match.end() if sep != "without" else bg_match.start("sep")
-        base += len(work[:cut].encode("utf-8"))
+        base += _byte_len(work[:cut])
         work = work[cut:]
 
     builder = _Builder()
@@ -337,7 +347,11 @@ def parse_expression(text: str) -> SpatialExpression:
 
 
 def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
-    m = _FACING_RE.match(segment)
+    # _FACING_RE needs the word "facing"; outside ASCII, case-insensitive
+    # matching also reads a dotted or dotless i there, so always try it
+    m = None
+    if "facing" in segment.lower() or not segment.isascii():
+        m = _FACING_RE.match(segment)
     if m is not None:
         noun, attrs = _parse_np(m.group("subject"), offset)
         b.mention(noun, attrs)

@@ -24,7 +24,7 @@ import json
 import os
 import re
 import tempfile
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .dsl import (
     ATTRIBUTE_WORDS,
@@ -48,8 +48,31 @@ from .scene import (
 
 _FACING_BY_LOWER = {f.value.lower(): f for f in FacingDirection}
 
-_NUMBER = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_NUMBER = r"[-+]?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_ENTRY_WS = r"[ \t\n\r\f\v]*"  # whitespace inside an entry is ASCII
+_BOX_PAD = r"\t\n\x0b\x0c\r\x1c-\x1f "  # what str.strip() removes from ASCII text
+_BOX_NUMBER = r"[-+.0-9A-Za-z_]+"  # every character float() reads; float() judges the rest
+
+# One entry and the separator after it. The head splits at its last '#'
+# into name words and an ASCII id; the box holds exactly four numbers
+# among commas that may also delimit empty items; between entries any
+# whitespace str.strip() removes may stand.
 _ENTRY_RE = re.compile(
+    r"""\({ws}
+        '(?P<base>[^']*)\#\s*(?P<id>[0-9]+)\s*'{ws},{ws}
+        \[[{pad},]*(?P<x>{box})[{pad}]*,
+        [{pad},]*(?P<y>{box})[{pad}]*,
+        [{pad},]*(?P<w>{box})[{pad}]*,
+        [{pad},]*(?P<h>{box})[{pad},]*\]{ws},{ws}
+        (?P<depth>{num}){ws},{ws}
+        (?:'(?P<facing>[A-Za-z]+)'|(?P<bare>[A-Za-z]+))
+        {ws}\)
+        \s*(?P<sep>,?)\s*""".format(ws=_ENTRY_WS, pad=_BOX_PAD, box=_BOX_NUMBER, num=_NUMBER),
+    re.VERBOSE,
+)
+
+# The liberal shape of an entry: words the error for one _ENTRY_RE rejects.
+_LIBERAL_ENTRY_RE = re.compile(
     r"""\(\s*
         '(?P<head>[^']*)'\s*,\s*
         \[(?P<bbox>[^\]]*)\]\s*,\s*
@@ -77,18 +100,44 @@ def serialize_wire_layout(layout: SceneLayout) -> str:
     return "[" + ", ".join(_entry(o) for o in layout.objects) + "]"
 
 
+def _name_and_attributes(words: list[str]) -> tuple[str, tuple[str, ...]]:
+    """Leading attribute words, then the name; the last word is always name."""
+    last = len(words) - 1
+    i = 0
+    while i < last and words[i] in ATTRIBUTE_WORDS:
+        i += 1
+    name = words[last] if i == last else " ".join(words[i:])
+    return name, tuple(words[:i])
+
+
 def _split_head(head: str) -> tuple[str, tuple[str, ...], int]:
     base, sep, id_text = head.rpartition("#")
     id_text = id_text.strip()
     if not sep or not (id_text.isascii() and id_text.isdigit()):
         raise WireFormatError(f"entry head {head!r} lacks a '#<id>' suffix")
-    words = base.strip().split()
+    words = base.split()
     if not words:
         raise WireFormatError(f"entry head {head!r} has no object name")
-    attrs: list[str] = []
-    while len(words) > 1 and words[0] in ATTRIBUTE_WORDS:
-        attrs.append(words.pop(0))
-    return " ".join(words), tuple(attrs), int(id_text)
+    return (*_name_and_attributes(words), int(id_text))
+
+
+def _reject_entry(body: str, pos: int) -> NoReturn:
+    """Raise the WireFormatError for the entry at ``pos``, which _ENTRY_RE refused."""
+    match = _LIBERAL_ENTRY_RE.match(body, pos)
+    if match is not None:
+        name, _, _ = _split_head(match.group("head"))
+        bbox_text = match.group("bbox")
+        if not bbox_text.isascii():
+            raise WireFormatError(f"bbox of {name!r} is not ASCII: {bbox_text[:40]!r}")
+        numbers = [n for n in (s.strip() for s in bbox_text.split(",")) if n]
+        if len(numbers) != 4:
+            raise WireFormatError(f"bbox of {name!r} must have 4 numbers, got {len(numbers)}")
+        for number in numbers:
+            try:
+                float(number)
+            except ValueError as exc:
+                raise WireFormatError(f"bad number in entry for {name!r}: {exc}") from exc
+    raise WireFormatError(f"unparsable layout entry at offset {pos}: {body[pos:pos + 40]!r}")
 
 
 def _parse_facing(match: re.Match) -> FacingDirection:
@@ -110,25 +159,19 @@ def parse_wire_layout(text: str, background: str = DEFAULT_BACKGROUND) -> SceneL
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1].strip()
-    if not body:
-        return SceneLayout((), background)
-
     objects: list[SceneObject] = []
-    pos = 0
-    while pos < len(body):
+    pos, end = 0, len(body)
+    while pos < end:
         match = _ENTRY_RE.match(body, pos)
         if match is None:
-            raise WireFormatError(f"unparsable layout entry at offset {pos}: {body[pos:pos + 40]!r}")
-        name, attrs, object_id = _split_head(match.group("head"))
-        bbox_text = match.group("bbox")
-        if not bbox_text.isascii():
-            raise WireFormatError(f"bbox of {name!r} is not ASCII: {bbox_text[:40]!r}")
-        numbers = [n for n in (s.strip() for s in bbox_text.split(",")) if n]
-        if len(numbers) != 4:
-            raise WireFormatError(f"bbox of {name!r} must have 4 numbers, got {len(numbers)}")
+            _reject_entry(body, pos)
+        words = match["base"].split()
+        if not words:
+            _reject_entry(body, pos)
+        name, attrs = _name_and_attributes(words)
+        object_id = int(match["id"])
         try:
-            x, y, w, h = (float(n) for n in numbers)
-            depth = float(match.group("depth"))
+            x, y, w, h = float(match["x"]), float(match["y"]), float(match["w"]), float(match["h"])
         except ValueError as exc:
             raise WireFormatError(f"bad number in entry for {name!r}: {exc}") from exc
         objects.append(
@@ -137,19 +180,13 @@ def parse_wire_layout(text: str, background: str = DEFAULT_BACKGROUND) -> SceneL
                 attributes=attrs,
                 object_id=object_id,
                 bbox=BBox(x, y, w, h),
-                depth=depth,
+                depth=float(match["depth"]),
                 facing=_parse_facing(match),
             )
         )
         pos = match.end()
-        rest = body[pos:].lstrip()
-        if rest.startswith(","):
-            after = rest[1:].lstrip()
-            pos = len(body) - len(after)
-        elif rest:
-            raise WireFormatError(f"unexpected text after entry: {rest[:40]!r}")
-        else:
-            break
+        if not match["sep"] and pos < end:
+            raise WireFormatError(f"unexpected text after entry: {body[pos:pos + 40]!r}")
     return SceneLayout(tuple(objects), background)
 
 
@@ -241,27 +278,36 @@ def sample_from_record(record: dict, line: int = 0):
         if not isinstance(record[key], str):
             kind = type(record[key]).__name__
             raise DatasetError(f"{key} must be a string, got {kind}", line=line)
+    prompt = record["prompt"]
     try:
-        annotation = annotation_from_json(record["annotation"])
-        background = annotation.background
-        sample = BenchmarkSample(
-            id=record["id"],
-            prompt=record["prompt"],
-            annotation=annotation,
-            gold_layout=parse_wire_layout(record["gold_layout"], background),
-            initial_layout=parse_wire_layout(record["initial_layout"], background),
-            split=record["split"],
-            source=record["source"],
-        )
+        parsed = parse_expression(prompt)
+    except (ExpressionParseError, ValueError) as exc:  # ValueError: parsed clauses contradict
+        parsed, parse_fault = None, exc
+    try:
+        # a record written by sample_to_record holds exactly the parse's JSON;
+        # decoding it separately only matters when it spells the annotation
+        # differently, or is not a valid annotation at all
+        if parsed is not None and annotation_to_json(parsed) == record["annotation"]:
+            annotation = parsed
+        else:
+            annotation = annotation_from_json(record["annotation"])
+        gold_layout = parse_wire_layout(record["gold_layout"], annotation.background)
+        initial_layout = parse_wire_layout(record["initial_layout"], annotation.background)
     except (WireFormatError, DuplicateIdError, ValueError) as exc:
         raise DatasetError(str(exc), line=line) from exc
-    try:
-        reparsed = parse_expression(sample.prompt)
-    except (ExpressionParseError, ValueError) as exc:  # ValueError: parsed clauses contradict
-        raise DatasetError(f"prompt does not parse: {exc}", line=line) from exc
-    if reparsed != annotation:
-        raise DatasetError(f"annotation does not match prompt {sample.prompt!r}", line=line)
-    return sample
+    if parsed is None:
+        raise DatasetError(f"prompt does not parse: {parse_fault}", line=line) from parse_fault
+    if parsed != annotation:
+        raise DatasetError(f"annotation does not match prompt {prompt!r}", line=line)
+    return BenchmarkSample(
+        id=record["id"],
+        prompt=prompt,
+        annotation=parsed,
+        gold_layout=gold_layout,
+        initial_layout=initial_layout,
+        split=record["split"],
+        source=record["source"],
+    )
 
 
 def write_ndjson(path: str, records: Iterable[dict]) -> None:
