@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from . import benchgen, oracle, pipeline
@@ -74,7 +75,19 @@ def _add_oracle(sub) -> None:
     p.add_argument("--seed", type=int, default=benchgen.DEFAULT_SEED)
 
 
+def _check_output_path(flag: str, path: str) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise ValueError(f"{flag} {path!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"{flag} {path!r}: directory {directory!r} does not exist")
+
+
 def _cmd_generate(args) -> int:
+    _check_output_path("--out", args.out)
+    if args.injections:
+        _check_output_path("--injections", args.injections)
     if args.source == "for-lmd":
         ratio = 0.5 if args.intrinsic_ratio is None else args.intrinsic_ratio
         samples = benchgen.generate_for_lmd(args.n, args.seed, ratio)
@@ -117,6 +130,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.report:
+        _check_output_path("--report", args.report)
     perception = PerceptionConfig(
         bbox_jitter_sigma=args.perception_bbox_jitter,
         depth_sigma=args.perception_depth_sigma,

@@ -8,8 +8,17 @@ import sys
 
 import pytest
 
-from scenefix import read_dataset
+from scenefix import benchgen, pipeline, read_dataset
 from scenefix.cli import main
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached the work a bad output path should have stopped")
+
+
+def _bad_output_paths(tmp_path):
+    """A path in a directory that does not exist, and an existing directory."""
+    return [str(tmp_path / "missing" / "out.ndjson"), str(tmp_path) + "/"]
 
 
 class TestGenerate:
@@ -74,6 +83,19 @@ class TestGenerate:
         assert main(["generate", "--n", "20", "--intrinsic-ratio", "0.5", "--out", str(half)]) == 0
         assert default.read_bytes() == half.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--out", "--injections"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["missing-dir", "is-dir"])
+    def test_bad_output_path_exits_2_before_generating(self, tmp_path, capsys, monkeypatch, flag, which):
+        monkeypatch.setattr(benchgen, "generate_for_lmd", _refuse)
+        paths = {"--out": str(tmp_path / "d.ndjson"), "--injections": str(tmp_path / "i.ndjson")}
+        paths[flag] = _bad_output_paths(tmp_path)[which]
+        code = main(["generate", "--n", "5", "--out", paths["--out"],
+                     "--injections", paths["--injections"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid arguments: {flag} ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_bad_fraction_exits_2(self, tmp_path, capsys):
         code = main([
             "generate", "--n", "5", "--corrupt-fraction", "1.5",
@@ -120,6 +142,33 @@ class TestRun:
         with open(report, encoding="utf-8") as f:
             records = [json.loads(l) for l in f]
         assert records[-1]["summary"] is True
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["missing-dir", "is-dir"])
+    def test_bad_report_path_exits_2_before_the_batch(self, tmp_path, capsys, monkeypatch, which):
+        data = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "2", "--out", data])
+        capsys.readouterr()
+        monkeypatch.setattr(pipeline, "run_batch", _refuse)
+        report = _bad_output_paths(tmp_path)[which]
+        assert main(["run", "--dataset", data, "--report", report]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: --report ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["missing-dir", "is-dir"])
+    def test_bad_report_path_leaves_no_traceback(self, tmp_path, which):
+        data = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "2", "--out", data])
+        proc = subprocess.run(
+            [sys.executable, "-m", "scenefix.cli", "run", "--dataset", data,
+             "--report", _bad_output_paths(tmp_path)[which]],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("invalid arguments: --report ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_prompt_with_unmentioned_anchor_exits_1(self, tmp_path, capsys):
         out = tmp_path / "bench.ndjson"

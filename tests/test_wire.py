@@ -20,6 +20,7 @@ from scenefix import (
     WireFormatError,
     generate_for_lmd,
     generate_forest_style,
+    parse_expression,
     parse_wire_layout,
     read_dataset,
     serialize_wire_layout,
@@ -344,3 +345,121 @@ class TestReaderBoundary:
 def test_non_ascii_ids_and_numbers_are_wire_format_errors(text):
     with pytest.raises(WireFormatError):
         parse_wire_layout(text)
+
+
+# ---------------------------------------------------------------------------
+# record acceptance: the stored annotation must decode to the prompt's parse
+
+_ANNOTATED = [
+    sample_to_record(s) for s in generate_for_lmd(6, seed=11) + generate_forest_style(6, seed=11)
+]
+
+
+def _extra_key(data, ann):
+    parts = [ann, *ann["mentions"], *ann["relations"]]
+    data.draw(st.sampled_from(parts))[data.draw(st.sampled_from(["note", "z"]))] = 1
+
+
+def _other_kind(data, ann):
+    if ann["relations"]:
+        data.draw(st.sampled_from(ann["relations"]))["perspective"]["kind"] = "other"
+
+
+def _camera_with_relatum(data, ann):
+    if ann["relations"]:
+        clause = data.draw(st.sampled_from(ann["relations"]))
+        clause["perspective"] = {"kind": "camera", "relatum": clause["relatum"]}
+
+
+def _reorder(data, ann):
+    target = data.draw(st.sampled_from([ann["mentions"], *(m["attributes"] for m in ann["mentions"])]))
+    target[:] = data.draw(st.permutations(target))
+
+
+def _flip_relation(data, ann):
+    if ann["relations"]:
+        clause = data.draw(st.sampled_from(ann["relations"]))
+        clause["relation"] = data.draw(
+            st.sampled_from([r for r in ("left", "right", "front", "back") if r != clause["relation"]])
+        )
+
+
+def _drop_facing(data, ann):
+    if ann["facings"]:
+        ann["facings"].pop(data.draw(st.integers(0, len(ann["facings"]) - 1)))
+
+
+_ANNOTATION_EDITS = [
+    _extra_key, _other_kind, _camera_with_relatum, _reorder, _flip_relation, _drop_facing,
+]
+
+
+class TestRecordAcceptance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=10**6))
+    def test_accepts_exactly_when_the_annotation_decodes_to_the_prompt(self, data, line):
+        record = copy.deepcopy(data.draw(st.sampled_from(_ANNOTATED)))
+        for edit in data.draw(st.lists(st.sampled_from(_ANNOTATION_EDITS), min_size=1, max_size=3)):
+            edit(data, record["annotation"])
+        expected = annotation_from_json(record["annotation"]) == parse_expression(record["prompt"])
+        try:
+            sample = sample_from_record(record, line=line)
+        except DatasetError as err:
+            assert not expected, err
+            assert err.line == line
+        else:
+            assert expected
+            assert sample.annotation == parse_expression(record["prompt"])
+
+
+# ---------------------------------------------------------------------------
+# wire grammar tolerance: every documented variant parses to the same layout
+
+_ASCII_SPACE = st.text(alphabet=" \t\n\r\f\v", max_size=3)
+
+
+def _number_variant(data, value: float) -> str:
+    text = fmt_number(value)
+    form = data.draw(st.sampled_from(["plain", "plus", "exponent"]))
+    if form == "plus":
+        return "+" + text
+    if form == "exponent":  # 0.125 -> 125e-3, exact because the decimal value is the same
+        whole, _, frac = text.partition(".")
+        marker = data.draw(st.sampled_from("eE"))
+        return f"{int(whole + frac)}{marker}-{len(frac)}"
+    return text
+
+
+def _facing_variant(data, facing: FacingDirection) -> str:
+    label = "".join(
+        c.upper() if data.draw(st.booleans()) else c.lower() for c in facing.value
+    )
+    return f"'{label}'" if data.draw(st.booleans()) else label
+
+
+def _entry_variant(data, o) -> str:
+    sp = lambda: data.draw(_ASCII_SPACE)  # noqa: E731
+    words = " ".join(sp() + w for w in (*o.attributes, o.name))
+    head = f"{words}{sp()}#{sp()}{o.object_id}{sp()}"
+    numbers = [_number_variant(data, v) for v in o.bbox.as_list()]
+    box = f"{sp()},{sp()}".join(numbers) + ("," if data.draw(st.booleans()) else "")
+    return (
+        f"({sp()}'{head}'{sp()},{sp()}[{sp()}{box}{sp()}]{sp()},{sp()}"
+        f"{_number_variant(data, o.depth)}{sp()},{sp()}{_facing_variant(data, o.facing)}{sp()})"
+    )
+
+
+class TestGrammarTolerance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=10**9))
+    def test_variants_parse_to_the_same_layout(self, data, seed):
+        lay = random_layout(random.Random(seed))
+        sp = lambda: data.draw(_ASCII_SPACE)  # noqa: E731
+        entries = [_entry_variant(data, o) for o in lay.objects]
+        body = f"{sp()},{sp()}".join(entries)
+        if entries and data.draw(st.booleans()):
+            body += sp() + ","
+        if data.draw(st.booleans()):
+            body = f"[{sp()}{body}{sp()}]"
+        text = sp() + body + sp()
+        assert parse_wire_layout(text) == lay, text
