@@ -77,6 +77,8 @@ def _add_oracle(sub) -> None:
 
 def _check_output_path(flag: str, path: str) -> None:
     """Refuse an output path that cannot be written, before any work is done."""
+    if not path:
+        raise ValueError(f"{flag} is empty")
     if os.path.isdir(path) or path.endswith(os.sep):
         raise ValueError(f"{flag} {path!r} is a directory")
     directory = os.path.dirname(os.path.abspath(path))

@@ -294,19 +294,19 @@ def _byte_len(text: str) -> int:
 def _segments(text: str, base: int):
     """Yield (segment, byte_offset) pairs: sentences split on '.', then ' and '."""
     # an ASCII text's byte offsets are its character positions
-    ascii = text.isascii()
+    is_ascii = text.isascii()
     for sm in _SENTENCE_RE.finditer(text):
         sentence = sm.group(0)
-        start = base + (sm.start() if ascii else _byte_len(text[: sm.start()]))
+        start = base + (sm.start() if is_ascii else _byte_len(text[: sm.start()]))
         pos = 0
         for am in _AND_RE.finditer(sentence):
             seg = sentence[pos : am.start()].strip()
             if seg:
-                yield seg, start + (pos if ascii else _byte_len(sentence[:pos]))
+                yield seg, start + (pos if is_ascii else _byte_len(sentence[:pos]))
             pos = am.end()
         seg = sentence[pos:].strip()
         if seg:
-            yield seg, start + (pos if ascii else _byte_len(sentence[:pos]))
+            yield seg, start + (pos if is_ascii else _byte_len(sentence[:pos]))
 
 
 def parse_expression(text: str) -> SpatialExpression:

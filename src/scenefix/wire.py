@@ -8,7 +8,8 @@ one per object: attributed name with ``#id``, a 4-number box, the mean
 depth, and a facing label (quoted bucket name, or bare ``None``).
 Numbers carry at most 3 decimals; serializing quantizes to that grid, so
 round-trip identity holds exactly for values already on it. Parsing is
-liberal about whitespace, facing-label case, and the outer brackets.
+liberal about whitespace, facing-label case and quoting, trailing commas,
+signed or exponent numbers, and the outer brackets.
 
 Grammar problems raise WireFormatError; entries that parse but violate
 model invariants (ranges, duplicate ids) surface as the model's own
@@ -106,8 +107,7 @@ def _name_and_attributes(words: list[str]) -> tuple[str, tuple[str, ...]]:
     i = 0
     while i < last and words[i] in ATTRIBUTE_WORDS:
         i += 1
-    name = words[last] if i == last else " ".join(words[i:])
-    return name, tuple(words[:i])
+    return " ".join(words[i:]), tuple(words[:i])
 
 
 def _split_head(head: str) -> tuple[str, tuple[str, ...], int]:

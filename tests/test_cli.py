@@ -96,6 +96,11 @@ class TestGenerate:
         assert err.startswith(f"invalid arguments: {flag} ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    def test_empty_out_path_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(benchgen, "generate_for_lmd", _refuse)
+        assert main(["generate", "--n", "5", "--out", ""]) == 2
+        assert capsys.readouterr().err == "invalid arguments: --out is empty\n"
+
     def test_bad_fraction_exits_2(self, tmp_path, capsys):
         code = main([
             "generate", "--n", "5", "--corrupt-fraction", "1.5",
