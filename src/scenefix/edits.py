@@ -203,9 +203,17 @@ def diff_layouts(current: SceneLayout, proposed: SceneLayout) -> list[EditAction
 def _background_fill(arr: np.ndarray, bounds: tuple[int, int, int, int]) -> None:
     """Backfill a rectangle with the median of the pixels outside it."""
     c0, c1, r0, r1 = bounds
-    mask = np.ones(arr.shape, dtype=bool)
-    mask[r0 : r1 + 1, c0 : c1 + 1] = False
-    fill = float(np.median(arr[mask])) if mask.any() else 0.0
+    # the four strips around the rectangle hold exactly the outside pixels;
+    # a median does not depend on their order
+    outside = np.concatenate(
+        (
+            arr[:r0].ravel(),
+            arr[r1 + 1 :].ravel(),
+            arr[r0 : r1 + 1, :c0].ravel(),
+            arr[r0 : r1 + 1, c1 + 1 :].ravel(),
+        )
+    )
+    fill = float(np.median(outside)) if outside.size else 0.0
     arr[r0 : r1 + 1, c0 : c1 + 1] = fill
 
 
@@ -238,7 +246,7 @@ def _restore_consistency(arr: np.ndarray, probe: DepthMap, objects: list[SceneOb
         for obj in objects:
             c0, c1, r0, r1 = rect_bounds(probe, obj.bbox)
             region = arr[r0 : r1 + 1, c0 : c1 + 1]
-            if abs(float(region.mean()) - obj.depth) > 1e-3:
+            if abs(float(region.sum()) / region.size - obj.depth) > 1e-3:
                 region[:] = obj.depth
                 clean = False
         if clean:

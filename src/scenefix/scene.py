@@ -104,7 +104,7 @@ def bucket_center(facing: FacingDirection) -> float:
     return _BUCKET_CENTER[facing]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BBox:
     """Axis-aligned box in fractional image coordinates."""
 
@@ -113,18 +113,16 @@ class BBox:
     w: float
     h: float
 
-    def __post_init__(self):
-        # unrolled: perception and the solver build tens of thousands of boxes per batch
-        x = self.x
+    def __init__(self, x: float, y: float, w: float, h: float):
+        # unrolled, and stored through the slot descriptors, which the
+        # frozen ``__setattr__`` does not guard: perception and the solver
+        # build tens of thousands of boxes per batch
         if not isinstance(x, (int, float)) or not math.isfinite(x):
             raise ValueError(f"bbox field x must be finite, got {x!r}")
-        y = self.y
         if not isinstance(y, (int, float)) or not math.isfinite(y):
             raise ValueError(f"bbox field y must be finite, got {y!r}")
-        w = self.w
         if not isinstance(w, (int, float)) or not math.isfinite(w):
             raise ValueError(f"bbox field w must be finite, got {w!r}")
-        h = self.h
         if not isinstance(h, (int, float)) or not math.isfinite(h):
             raise ValueError(f"bbox field h must be finite, got {h!r}")
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
@@ -133,6 +131,15 @@ class BBox:
             raise ValueError(f"bbox needs positive size, got {w} x {h}")
         if x + w > 1.0 + EPS_CLAMP or y + h > 1.0 + EPS_CLAMP:
             raise ValueError(f"bbox extends past the frame: x+w={x + w}, y+h={y + h}")
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_w(self, w)
+        _set_h(self, h)
+
+    def __reduce__(self):
+        # rebuild through ``__init__``: cheaper than the slotted dataclass's
+        # per-field state, and the worker pool pickles every box both ways
+        return BBox, (self.x, self.y, self.w, self.h)
 
     @property
     def cx(self) -> float:
@@ -144,6 +151,12 @@ class BBox:
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
+
+
+_set_x = BBox.x.__set__
+_set_y = BBox.y.__set__
+_set_w = BBox.w.__set__
+_set_h = BBox.h.__set__
 
 
 def bbox_center(b: BBox) -> tuple[float, float]:
@@ -170,14 +183,15 @@ class DepthMap:
     def __post_init__(self):
         import numpy as np  # on first use: numpy costs most of the package's import time
 
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"depth map must be a non-empty 2-d grid, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("depth map contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # NaN and +-inf fail this range test too; only then is it worth
+        # telling the two faults apart
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            if not np.isfinite(arr).all():
+                raise ValueError("depth map contains non-finite values")
             raise ValueError("depth values must lie in [0, 1]")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -241,7 +255,7 @@ def object_depth(depth: DepthMap, mask: frozenset[tuple[int, int]]) -> float:
     return float(depth.values[rows, cols].mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SceneObject:
     """One object instance: identity, appearance and pose."""
 
@@ -252,36 +266,65 @@ class SceneObject:
     depth: float
     facing: FacingDirection = FacingDirection.NONE
 
-    def __post_init__(self):
-        if not self.name or not self.name.strip():
+    def __init__(
+        self,
+        name: str,
+        attributes: tuple[str, ...],
+        object_id: int,
+        bbox: BBox,
+        depth: float,
+        facing: FacingDirection = FacingDirection.NONE,
+    ):
+        if not name or not name.strip():
             raise ValueError("object name must be non-empty")
-        if not isinstance(self.object_id, int) or self.object_id < 1:
-            raise ValueError(f"object id must be a positive integer, got {self.object_id!r}")
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        if not math.isfinite(self.depth) or not 0.0 <= self.depth <= 1.0:
-            raise ValueError(f"object depth must lie in [0, 1], got {self.depth!r}")
-        if not isinstance(self.facing, FacingDirection):
-            raise ValueError(f"facing must be a FacingDirection, got {self.facing!r}")
+        if not isinstance(object_id, int) or object_id < 1:
+            raise ValueError(f"object id must be a positive integer, got {object_id!r}")
+        attributes = tuple(attributes)
+        if not math.isfinite(depth) or not 0.0 <= depth <= 1.0:
+            raise ValueError(f"object depth must lie in [0, 1], got {depth!r}")
+        if not isinstance(facing, FacingDirection):
+            raise ValueError(f"facing must be a FacingDirection, got {facing!r}")
+        _set_name(self, name)
+        _set_attributes(self, attributes)
+        _set_object_id(self, object_id)
+        _set_bbox(self, bbox)
+        _set_depth(self, depth)
+        _set_facing(self, facing)
+
+    def __reduce__(self):
+        return SceneObject, (
+            self.name, self.attributes, self.object_id, self.bbox, self.depth, self.facing
+        )
 
     def replace(self, **changes) -> "SceneObject":
         """A copy with some fields changed, validated like a new object.
 
-        Same contract as ``dataclasses.replace``: ``__post_init__`` runs
-        and an unknown field is a TypeError. It copies the instance dict
-        instead of going through the generic per-field machinery, because
-        perception, the solver and the edit executor call it per object.
+        Same contract as ``dataclasses.replace``: the validating
+        ``__init__`` runs and an unknown field is a TypeError. It reads the
+        fields directly instead of going through the generic per-field
+        machinery, because perception, the solver and the edit executor
+        call it per object.
         """
         if not _OBJECT_FIELDS.issuperset(changes):
             unknown = sorted(set(changes) - _OBJECT_FIELDS)
             raise TypeError(f"SceneObject has no field(s) {unknown}")
-        new = object.__new__(type(self))
-        state = new.__dict__
-        state.update(self.__dict__)
-        state.update(changes)
-        new.__post_init__()
-        return new
+        get = changes.get
+        return SceneObject(
+            get("name", self.name),
+            get("attributes", self.attributes),
+            get("object_id", self.object_id),
+            get("bbox", self.bbox),
+            get("depth", self.depth),
+            get("facing", self.facing),
+        )
 
 
+_set_name = SceneObject.name.__set__
+_set_attributes = SceneObject.attributes.__set__
+_set_object_id = SceneObject.object_id.__set__
+_set_bbox = SceneObject.bbox.__set__
+_set_depth = SceneObject.depth.__set__
+_set_facing = SceneObject.facing.__set__
 _OBJECT_FIELDS = frozenset(f.name for f in fields(SceneObject))
 
 

@@ -27,7 +27,7 @@ from scenefix import (
     diff_layouts,
     scene_from_layout,
 )
-from scenefix.edits import action_kind, scene_consistency_gap
+from scenefix.edits import _background_fill, action_kind, scene_consistency_gap
 from scenefix.scene import object_depth, rect_mask
 
 from helpers import layout, obj, random_layout
@@ -84,6 +84,52 @@ class TestDepthFormula:
         out = apply_depth_formula(dm, mask, current, target)
         expected = min(1.0, max(0.0, d - current + target))
         assert out.values[0, 0] == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def grids_and_rects(draw):
+    """A depth grid of values in [0, 1] (ties likely when coarse) and the
+    inclusive bounds (c0, c1, r0, r1) of a rectangle on it, sometimes the
+    whole grid."""
+    h = draw(st.integers(min_value=1, max_value=64))
+    w = draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    arr = rng.random((h, w))
+    if draw(st.booleans()):
+        arr = np.round(arr, 1)
+    if draw(st.booleans()):
+        return arr, (0, w - 1, 0, h - 1)
+    c0 = draw(st.integers(min_value=0, max_value=w - 1))
+    c1 = draw(st.integers(min_value=c0, max_value=w - 1))
+    r0 = draw(st.integers(min_value=0, max_value=h - 1))
+    r1 = draw(st.integers(min_value=r0, max_value=h - 1))
+    return arr, (c0, c1, r0, r1)
+
+
+def _full_mask_fill(arr: np.ndarray, bounds) -> None:
+    """Reference backfill: the median over a boolean mask of the whole grid."""
+    c0, c1, r0, r1 = bounds
+    mask = np.ones(arr.shape, dtype=bool)
+    mask[r0 : r1 + 1, c0 : c1 + 1] = False
+    arr[r0 : r1 + 1, c0 : c1 + 1] = float(np.median(arr[mask])) if mask.any() else 0.0
+
+
+class TestGridKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_rects())
+    def test_strip_median_fill_equals_full_mask_fill(self, case):
+        arr, bounds = case
+        got, want = arr.copy(), arr.copy()
+        _background_fill(got, bounds)
+        _full_mask_fill(want, bounds)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_rects())
+    def test_region_sum_over_size_is_the_mean_bitwise(self, case):
+        arr, (c0, c1, r0, r1) = case
+        region = arr[r0 : r1 + 1, c0 : c1 + 1]
+        assert (float(region.sum()) / region.size).hex() == float(region.mean()).hex()
 
 
 class TestSceneSynthesis:

@@ -24,7 +24,7 @@ from scenefix import (
 )
 from scenefix.perception import ZERO_NOISE
 from scenefix.pipeline import build_report, write_report
-from scenefix.wire import sample_to_record
+from scenefix.wire import sample_from_record, sample_to_record
 
 FAKE = str(Path(__file__).parent / "fake_interpreter.py")
 
@@ -90,6 +90,48 @@ class TestSingleSample:
             assert not trajectory.correct_at(0)
             assert trajectory.correct_at(1)
             assert trajectory.rounds[1].actions
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="no clear window for the horse: its band overlaps the deer and the cat, "
+        "and the repaint lifts the deer's box-mean depth past the cat's",
+    )
+    def test_crowded_reposition_keeps_the_depth_clause(self):
+        """Sample for-lmd-341-0784 of the benchmark's clean-r1 dataset at seed 341
+        (1000 samples, 80% corrupted): the horse's left-right swap is repaired,
+        but the intrinsic "in front of" clause flips in the same round."""
+        sample = sample_from_record({
+            "id": "for-lmd-341-0784",
+            "prompt": "A blue deer is in front of a cat from the cat's perspective"
+            " and a pink horse is on the left.",
+            "split": "intrinsic",
+            "source": "for-lmd",
+            "annotation": {
+                "background": "A realistic image",
+                "facings": [],
+                "mentions": [
+                    {"attributes": ["blue"], "name": "deer"},
+                    {"attributes": [], "name": "cat"},
+                    {"attributes": ["pink"], "name": "horse"},
+                ],
+                "negations": [],
+                "relations": [
+                    {"perspective": {"kind": "intrinsic", "relatum": "cat"},
+                     "relation": "front", "relatum": "cat", "target": "deer"},
+                    {"perspective": {"kind": "camera"},
+                     "relation": "left", "relatum": "frame", "target": "horse"},
+                ],
+            },
+            "gold_layout": "[('blue deer #1', [0.099, 0.41, 0.102, 0.179], 0.2, None),"
+            " ('cat #2', [0.804, 0.408, 0.192, 0.184], 0.3, 'BackwardLeft'),"
+            " ('pink horse #3', [0.341, 0.409, 0.119, 0.181], 0.9, None)]",
+            "initial_layout": "[('blue deer #1', [0.099, 0.41, 0.102, 0.179], 0.2, None),"
+            " ('cat #2', [0.341, 0.408, 0.119, 0.184], 0.3, 'BackwardLeft'),"
+            " ('pink horse #3', [0.804, 0.409, 0.192, 0.181], 0.9, None)]",
+        })
+        trajectory = run_sample(sample, RunConfig(dataset_path="unused", rounds=1, seed=341))
+        assert trajectory.error is None and trajectory.correct_at(1)
 
     @pytest.mark.parametrize("rounds", [1, 3])
     @pytest.mark.parametrize("noisy", [False, True])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -104,6 +105,36 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(x, y, w, h)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("0.1", 0.2, 0.3, 0.4), "bbox field x must be finite, got '0.1'"),
+            ((0.1, math.nan, 0.3, 0.4), "bbox field y must be finite, got nan"),
+            ((0.1, 0.2, math.inf, 0.4), "bbox field w must be finite, got inf"),
+            ((0.1, 0.2, 0.3, None), "bbox field h must be finite, got None"),
+            ((math.nan, None, 0.3, 0.4), "bbox field x must be finite, got nan"),
+            ((-0.1, 0.0, 0.5, 0.5), "bbox corner out of frame: (-0.1, 0.0)"),
+            ((0.2, 1.5, 0.1, 0.1), "bbox corner out of frame: (0.2, 1.5)"),
+            ((0.2, 0.2, 0.0, 0.1), "bbox needs positive size, got 0.0 x 0.1"),
+            ((0.2, 0.2, 0.1, -0.1), "bbox needs positive size, got 0.1 x -0.1"),
+            ((0.8, 0.0, 0.3, 0.3), "bbox extends past the frame: x+w=1.1, y+h=0.3"),
+            ((1.0, 1.0, 0.0, 0.0), "bbox needs positive size, got 0.0 x 0.0"),
+        ],
+    )
+    def test_error_messages(self, args, message):
+        # run reports carry these strings in a sample's error field
+        with pytest.raises(ValueError) as exc:
+            BBox(*args)
+        assert str(exc.value) == message
+
+    def test_frozen_and_slotted(self):
+        box = BBox(0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.x = 0.5
+        assert not hasattr(box, "__dict__")
+        assert repr(box) == "BBox(x=0.1, y=0.2, w=0.3, h=0.4)"
+        assert [f.name for f in dataclasses.fields(box)] == ["x", "y", "w", "h"]
+
     def test_as_list(self):
         assert BBox(0.1, 0.2, 0.3, 0.4).as_list() == [0.1, 0.2, 0.3, 0.4]
 
@@ -139,6 +170,36 @@ class TestDepthMap:
         arr[1, 1] = np.nan
         with pytest.raises(ValueError):
             DepthMap(arr)
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ([math.nan], "depth map contains non-finite values"),
+            ([math.inf], "depth map contains non-finite values"),
+            ([-math.inf], "depth map contains non-finite values"),
+            ([1.5], "depth values must lie in [0, 1]"),
+            ([-0.1], "depth values must lie in [0, 1]"),
+            ([math.nan, 1.5], "depth map contains non-finite values"),
+            ([1.5, math.nan], "depth map contains non-finite values"),
+        ],
+    )
+    def test_error_messages(self, cells, message):
+        arr = np.full((3, 3), 0.2)
+        arr.flat[: len(cells)] = cells
+        with pytest.raises(ValueError) as exc:
+            DepthMap(arr)
+        assert str(exc.value) == message
+
+    def test_shape_message(self):
+        with pytest.raises(ValueError) as exc:
+            DepthMap(np.zeros(4))
+        assert str(exc.value) == "depth map must be a non-empty 2-d grid, got shape (4,)"
+
+    def test_list_input_and_bounds_accepted(self):
+        dm = DepthMap([[0.0, 1.0], [0.5, 0.25]])
+        assert dm.values.dtype == np.float64
+        assert dm.values.tolist() == [[0.0, 1.0], [0.5, 0.25]]
+        assert not dm.values.flags.writeable
 
 
 class TestRectMask:
@@ -260,6 +321,62 @@ class TestSceneObject:
     def test_depth_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             obj("cat", depth=1.2)
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"name": ""}, "object name must be non-empty"),
+            ({"name": "  "}, "object name must be non-empty"),
+            ({"name": "", "object_id": 0}, "object name must be non-empty"),
+            ({"object_id": 0}, "object id must be a positive integer, got 0"),
+            ({"object_id": 1.5}, "object id must be a positive integer, got 1.5"),
+            ({"object_id": "2"}, "object id must be a positive integer, got '2'"),
+            ({"object_id": 0, "depth": 2.0}, "object id must be a positive integer, got 0"),
+            ({"depth": 1.2}, "object depth must lie in [0, 1], got 1.2"),
+            ({"depth": -0.5}, "object depth must lie in [0, 1], got -0.5"),
+            ({"depth": math.nan}, "object depth must lie in [0, 1], got nan"),
+            ({"depth": 1.2, "facing": "Left"}, "object depth must lie in [0, 1], got 1.2"),
+            ({"facing": "Left"}, "facing must be a FacingDirection, got 'Left'"),
+            ({"facing": None}, "facing must be a FacingDirection, got None"),
+        ],
+    )
+    def test_error_messages(self, changes, message):
+        # run reports carry these strings in a sample's error field
+        fields = {
+            "name": "cat", "attributes": (), "object_id": 1,
+            "bbox": BBox(0.1, 0.1, 0.2, 0.2), "depth": 0.5,
+        }
+        with pytest.raises(ValueError) as exc:
+            SceneObject(**{**fields, **changes})
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            SceneObject(**fields).replace(**changes)
+        assert str(exc.value) == message
+
+    def test_frozen_and_slotted(self):
+        o = obj("cat", attrs=["red"])
+        assert o.attributes == ("red",)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            o.depth = 0.1
+        assert not hasattr(o, "__dict__")
+        assert o.facing is FacingDirection.NONE
+        assert [f.name for f in dataclasses.fields(o)] == [
+            "name", "attributes", "object_id", "bbox", "depth", "facing",
+        ]
+
+
+def test_pickle_round_trip_keeps_equality_and_hash():
+    lay = layout(
+        obj("cat", oid=1, attrs=("red",), facing=FacingDirection.LEFT),
+        obj("dog", oid=4, x=0.5, depth=0.25),
+        background="A sketch",
+    )
+    for value in (lay.objects[0].bbox, lay.objects[0], lay.objects[1], lay):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value
+            assert hash(back) == hash(value)
+            assert type(back) is type(value)
 
 
 class TestSceneLayout:
