@@ -272,6 +272,8 @@ class _Builder:
         self.relations: list[RelationClause] = []
         self.facings: list[FacingAssertion] = []
         self.negations: list[str] = []
+        # (anchor noun, segment offset) of each object-anchored perspective
+        self.anchors: list[tuple[str, int]] = []
 
     def mention(self, noun: str, attrs: tuple[str, ...]) -> str:
         if noun not in self.attrs:
@@ -334,8 +336,12 @@ def parse_expression(text: str) -> SpatialExpression:
     builder = _Builder()
     for segment, offset in _segments(work, base):
         _parse_segment(segment, offset, builder)
+    # a later segment may mention the anchor, so check only once all are read
+    for anchor, offset in builder.anchors:
+        if anchor not in builder.attrs:
+            raise ExpressionParseError(f"perspective anchor {anchor!r} is not mentioned", offset)
 
-    expr = SpatialExpression(
+    return SpatialExpression(
         mentions=builder.mentions(),
         relations=tuple(builder.relations),
         facings=tuple(builder.facings),
@@ -343,7 +349,6 @@ def parse_expression(text: str) -> SpatialExpression:
         background=background,
         raw_text=text,
     )
-    return expr
 
 
 def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
@@ -372,6 +377,8 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
         if target == relatum:
             raise ExpressionParseError(f"clause relates {target!r} to itself", offset)
         perspective = _parse_perspective(m.group("persp"), offset)
+        if isinstance(perspective, Intrinsic):
+            b.anchors.append((perspective.relatum, offset))
         b.mention(target, t_attrs)
         b.mention(relatum, r_attrs)
         b.relations.append(

@@ -129,6 +129,11 @@ def scene_consistency_gap(scene: SymbolicScene) -> float:
     return gap
 
 
+def _shift_depth(values: np.ndarray, current: float, target: float) -> np.ndarray:
+    """The paper's pixel rule d' = clip(d - D + D', 0, 1), for both callers."""
+    return np.clip(values - current + target, 0.0, 1.0)
+
+
 def apply_depth_formula(
     depth: DepthMap, mask: frozenset[tuple[int, int]], current: float, target: float
 ) -> DepthMap:
@@ -136,7 +141,7 @@ def apply_depth_formula(
     arr = np.array(depth.values, copy=True)
     cols = np.fromiter((c for c, _ in mask), dtype=np.intp, count=len(mask))
     rows = np.fromiter((r for _, r in mask), dtype=np.intp, count=len(mask))
-    arr[rows, cols] = np.clip(arr[rows, cols] - current + target, 0.0, 1.0)
+    arr[rows, cols] = _shift_depth(arr[rows, cols], current, target)
     return DepthMap(arr)
 
 
@@ -309,9 +314,8 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
             if action.new_bbox is not None and action.new_bbox != obj.bbox:
                 _move_patch(arr, probe, obj.bbox, action.new_bbox)
             c0, c1, r0, r1 = rect_bounds(probe, bbox)
-            arr[r0 : r1 + 1, c0 : c1 + 1] = np.clip(
-                arr[r0 : r1 + 1, c0 : c1 + 1] - obj.depth + action.new_depth, 0.0, 1.0
-            )
+            patch = arr[r0 : r1 + 1, c0 : c1 + 1]
+            patch[...] = _shift_depth(patch, obj.depth, action.new_depth)
             objects[i] = obj.replace(depth=action.new_depth, bbox=bbox)
         else:
             raise TypeError(f"unknown action {action!r}")

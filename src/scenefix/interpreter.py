@@ -424,7 +424,7 @@ def _validate_proposal_layout(
     if expr is None:
         try:
             expr = parse_expression(prompt)
-        except (ExpressionParseError, ValueError):
+        except ExpressionParseError:
             # free-form or self-contradictory prompt: range checks already passed, accept
             return
     for mention in expr.mentions:
@@ -454,10 +454,10 @@ def _parse_response_line(
     if not isinstance(record, dict) or any(k not in record for k in _RESPONSE_FIELDS):
         raise ProtocolError(f"response must carry fields {_RESPONSE_FIELDS}")
     try:
-        layout = parse_wire_layout(record["layout"])
+        layout = parse_wire_layout(record["layout"])  # range faults are already typed
     except WireFormatError as exc:
         raise ProtocolError(f"unparsable layout in response: {exc}") from exc
-    except (ValueError, DuplicateIdError) as exc:
+    except DuplicateIdError as exc:
         raise LayoutValidationError(str(exc)) from exc
     _validate_proposal_layout(layout, prompt, annotation)
     reasoning = record["reasoning"]
@@ -605,6 +605,7 @@ class HttpInterpreter:
         round_index: int,
         annotation: SpatialExpression | None = None,
     ) -> LayoutProposal:
+        import http.client
         import urllib.error
         import urllib.request  # on first request: most sessions are stdio
 
@@ -623,6 +624,8 @@ class HttpInterpreter:
             raise ProtocolError(f"endpoint unreachable: {exc}") from exc
         except TimeoutError as exc:
             raise InterpreterTimeout(str(exc)) from exc
+        except (OSError, http.client.HTTPException) as exc:  # dropped or non-HTTP reply
+            raise ProtocolError(f"endpoint failed mid-request: {exc!r}") from exc
         if len(body) > _MAX_RESPONSE_BYTES:
             raise ProtocolError(f"response body exceeds {_MAX_RESPONSE_BYTES} bytes")
         try:

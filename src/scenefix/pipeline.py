@@ -6,10 +6,10 @@ intrinsic clauses into the camera frame, asks the configured solver for a
 revised layout, applies the diff to the scene, and evaluates the result
 through a fresh perception pass. At zero noise a round starts from the
 layout the last round boundary perceived instead of perceiving the same
-scene again, because that pass would return the same layout. Per-sample
-failures (unsatisfiable clause sets, protocol violations, impossible
-edits) mark that sample as errored and count as incorrect without
-stopping the batch.
+scene again, because that pass would return the same layout. A round's
+SceneFixError (an unsatisfiable clause set, a protocol violation, an
+impossible edit) marks that sample as errored and counts as incorrect
+without stopping the batch.
 
 Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
@@ -43,16 +43,7 @@ from .edits import (
     diff_layouts,
     scene_from_layout,
 )
-from .errors import (
-    DuplicateIdError,
-    FacingUnknownError,
-    InterpreterTimeout,
-    LayoutValidationError,
-    OverlapCollisionError,
-    ProtocolError,
-    UnknownObjectError,
-    UnsatisfiableError,
-)
+from .errors import SceneFixError
 from .evaluate import EvaluationResult, categorize_run, evaluate
 from .interpreter import make_interpreter, suggest_layout
 from .perception import ZERO_NOISE, PerceptionConfig, derive_seed, perceive
@@ -65,18 +56,6 @@ logger = logging.getLogger(__name__)
 # Pool tasks per worker: enough that one slow chunk does not leave the
 # other workers idle, few enough that task overhead stays negligible.
 _CHUNKS_PER_WORKER = 4
-
-_SAMPLE_ERRORS = (
-    UnsatisfiableError,
-    ProtocolError,
-    LayoutValidationError,
-    InterpreterTimeout,
-    FacingUnknownError,
-    UnknownObjectError,
-    OverlapCollisionError,
-    DuplicateIdError,
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -173,7 +152,7 @@ def run_sample(sample: BenchmarkSample, cfg: RunConfig, session=None) -> SampleT
             scene, result, actions, checked = run_round(
                 sample, scene, cfg, round_index, session, checked if carry else None
             )
-        except _SAMPLE_ERRORS as exc:
+        except SceneFixError as exc:
             error = f"{type(exc).__name__}: {exc}"
             logger.info("sample %s failed at round %d: %s", sample.id, round_index, error)
             break

@@ -11,9 +11,9 @@ round-trip identity holds exactly for values already on it. Parsing is
 liberal about whitespace, facing-label case and quoting, trailing commas,
 signed or exponent numbers, and the outer brackets.
 
-Grammar problems raise WireFormatError; entries that parse but violate
-model invariants (ranges, duplicate ids) surface as the model's own
-ValueError / DuplicateIdError so callers can tell the two apart.
+Grammar problems raise WireFormatError, entries that parse but break a
+model range LayoutValidationError with the model's message, and repeated
+ids the model's DuplicateIdError, so callers can tell the three apart.
 
 Datasets and reports are newline-delimited JSON with sorted keys,
 written atomically (temp file + rename).
@@ -37,7 +37,9 @@ from .dsl import (
     SpatialExpression,
     parse_expression,
 )
-from .errors import DatasetError, DuplicateIdError, ExpressionParseError, WireFormatError
+from .errors import (
+    DatasetError, ExpressionParseError, LayoutValidationError, SceneFixError, WireFormatError,
+)
 from .scene import (
     BBox,
     DEFAULT_BACKGROUND,
@@ -110,7 +112,7 @@ def _name_and_attributes(words: list[str]) -> tuple[str, tuple[str, ...]]:
     return " ".join(words[i:]), tuple(words[:i])
 
 
-def _split_head(head: str) -> tuple[str, tuple[str, ...], int]:
+def _head_name(head: str) -> str:
     base, sep, id_text = head.rpartition("#")
     id_text = id_text.strip()
     if not sep or not (id_text.isascii() and id_text.isdigit()):
@@ -118,14 +120,14 @@ def _split_head(head: str) -> tuple[str, tuple[str, ...], int]:
     words = base.split()
     if not words:
         raise WireFormatError(f"entry head {head!r} has no object name")
-    return (*_name_and_attributes(words), int(id_text))
+    return _name_and_attributes(words)[0]
 
 
 def _reject_entry(body: str, pos: int) -> NoReturn:
     """Raise the WireFormatError for the entry at ``pos``, which _ENTRY_RE refused."""
     match = _LIBERAL_ENTRY_RE.match(body, pos)
     if match is not None:
-        name, _, _ = _split_head(match.group("head"))
+        name = _head_name(match.group("head"))
         bbox_text = match.group("bbox")
         if not bbox_text.isascii():
             raise WireFormatError(f"bbox of {name!r} is not ASCII: {bbox_text[:40]!r}")
@@ -151,8 +153,9 @@ def _parse_facing(match: re.Match) -> FacingDirection:
 def parse_wire_layout(text: str, background: str = DEFAULT_BACKGROUND) -> SceneLayout:
     """Parse the textual layout grammar back into a SceneLayout.
 
-    Raises WireFormatError for malformed text; range violations and
-    duplicate ids propagate from the scene model itself.
+    Raises WireFormatError for malformed text, LayoutValidationError for
+    a value outside the model's ranges (an id too long for ``int`` too),
+    and DuplicateIdError for a repeated id.
     """
     if not isinstance(text, str):
         raise WireFormatError(f"layout must be a string, got {type(text).__name__}")
@@ -169,21 +172,23 @@ def parse_wire_layout(text: str, background: str = DEFAULT_BACKGROUND) -> SceneL
         if not words:
             _reject_entry(body, pos)
         name, attrs = _name_and_attributes(words)
-        object_id = int(match["id"])
         try:
             x, y, w, h = float(match["x"]), float(match["y"]), float(match["w"]), float(match["h"])
         except ValueError as exc:
             raise WireFormatError(f"bad number in entry for {name!r}: {exc}") from exc
-        objects.append(
-            SceneObject(
-                name=name,
-                attributes=attrs,
-                object_id=object_id,
-                bbox=BBox(x, y, w, h),
-                depth=float(match["depth"]),
-                facing=_parse_facing(match),
+        try:
+            objects.append(
+                SceneObject(
+                    name=name,
+                    attributes=attrs,
+                    object_id=int(match["id"]),
+                    bbox=BBox(x, y, w, h),
+                    depth=float(match["depth"]),
+                    facing=_parse_facing(match),
+                )
             )
-        )
+        except ValueError as exc:  # a range check, or an id too long for int()
+            raise LayoutValidationError(str(exc)) from exc
         pos = match.end()
         if not match["sep"] and pos < end:
             raise WireFormatError(f"unexpected text after entry: {body[pos:pos + 40]!r}")
@@ -281,7 +286,7 @@ def sample_from_record(record: dict, line: int = 0):
     prompt = record["prompt"]
     try:
         parsed = parse_expression(prompt)
-    except (ExpressionParseError, ValueError) as exc:  # ValueError: parsed clauses contradict
+    except ExpressionParseError as exc:
         parsed, parse_fault = None, exc
     try:
         # a record written by sample_to_record holds exactly the parse's JSON;
@@ -293,7 +298,7 @@ def sample_from_record(record: dict, line: int = 0):
             annotation = annotation_from_json(record["annotation"])
         gold_layout = parse_wire_layout(record["gold_layout"], annotation.background)
         initial_layout = parse_wire_layout(record["initial_layout"], annotation.background)
-    except (WireFormatError, DuplicateIdError, ValueError) as exc:
+    except SceneFixError as exc:
         raise DatasetError(str(exc), line=line) from exc
     if parsed is None:
         raise DatasetError(f"prompt does not parse: {parse_fault}", line=line) from parse_fault
@@ -385,6 +390,6 @@ def load_layouts(path: str) -> dict[str, SceneLayout]:
             raise DatasetError(f"layout record id must be a string, got {kind}", line=lineno)
         try:
             layouts[record["id"]] = parse_wire_layout(record["layout"])
-        except (WireFormatError, DuplicateIdError, ValueError) as exc:
+        except SceneFixError as exc:
             raise DatasetError(str(exc), line=lineno) from exc
     return layouts

@@ -21,6 +21,8 @@ selects a behavior:
   no-newline     echo once without a trailing newline, then exit
   stall-mid-line on round 0 write half a reply, stall for a second, then
                  finish it; echo other rounds
+  sub-pixel      repair like solve, then narrow every box to 0.005 x 0.005,
+                 which covers no pixel center of most grids
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def solve(prompt: str, layout_text: str) -> str:
     return serialize_wire_layout(proposal.layout)
 
 
+def sub_pixel(layout_text: str) -> str:
+    from scenefix import BBox, parse_wire_layout, serialize_wire_layout
+
+    layout = parse_wire_layout(layout_text)
+    return serialize_wire_layout(
+        layout.with_objects(
+            o.replace(bbox=BBox(o.bbox.x, o.bbox.y, 0.005, 0.005)) for o in layout.objects
+        )
+    )
+
+
 def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "echo"
     if mode == "close":
@@ -69,6 +82,8 @@ def main() -> int:
             respond(layout_text, prompt, "echoed the input")
         elif mode == "solve":
             respond(solve(prompt, layout_text), prompt, "repaired with the builtin solver")
+        elif mode == "sub-pixel":
+            respond(sub_pixel(solve(prompt, layout_text)), prompt, "narrowed every box")
         elif mode == "malformed":
             print("this is not a JSON object", flush=True)
         elif mode == "missing-field":

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from scenefix import benchgen, pipeline, read_dataset
 from scenefix.cli import main
+
+
+FAKE = str(Path(__file__).parent / "fake_interpreter.py")
 
 
 def _refuse(*args, **kwargs):
@@ -184,6 +188,21 @@ class TestRun:
         out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert main(["run", "--dataset", str(out), "--rounds", "1"]) == 1
         assert "(line 2)" in capsys.readouterr().err
+
+    def test_sub_pixel_replies_mark_samples_errored(self, tmp_path, capsys):
+        data = str(tmp_path / "bench.ndjson")
+        report = str(tmp_path / "report.ndjson")
+        main(["generate", "--source", "forest-style", "--n", "20", "--seed", "78", "--out", data])
+        capsys.readouterr()
+        code = main([
+            "run", "--dataset", data, "--rounds", "1", "--solver", "external",
+            "--endpoint", f"{sys.executable} {FAKE} sub-pixel", "--report", report,
+        ])
+        assert code == 0
+        with open(report, encoding="utf-8") as f:
+            errors = [r["error"] for r in map(json.loads, f) if r.get("error")]
+        assert errors and all(e.startswith("EmptyRegionError: box ") for e in errors)
+        assert f"{len(errors)} sample(s) ended with an error status" in capsys.readouterr().out
 
     def test_non_utf8_dataset_exits_1(self, tmp_path, capsys):
         out = tmp_path / "bench.ndjson"

@@ -27,7 +27,7 @@ from scenefix import (
     diff_layouts,
     scene_from_layout,
 )
-from scenefix.edits import _background_fill, action_kind, scene_consistency_gap
+from scenefix.edits import SymbolicScene, _background_fill, action_kind, scene_consistency_gap
 from scenefix.scene import object_depth, rect_mask
 
 from helpers import layout, obj, random_layout
@@ -274,6 +274,22 @@ class TestApply:
         out = apply_actions(scene, [DepthModify(1, 0.7)])
         assert out.layout.find(1).depth == 0.7
         assert scene_consistency_gap(out) <= 1e-3
+
+    @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.2, max_value=0.8))
+    @settings(max_examples=200, deadline=None)
+    def test_depth_modify_runs_the_depth_formula(self, seed, target):
+        # a non-uniform patch in [0.4, 0.6] shifted to a target in [0.2, 0.8]
+        # never clamps, so no repaint follows and both paths must agree bitwise
+        cat = obj("cat", oid=1, x=0.2, y=0.3, w=0.4, h=0.3)
+        arr = np.array(scene_from_layout(layout(cat)).depth.values)
+        mask = rect_mask(DepthMap(arr), cat.bbox)
+        rows, cols = [r for _, r in mask], [c for c, _ in mask]
+        arr[rows, cols] = np.random.default_rng(seed).uniform(0.4, 0.6, len(mask))
+        current = float(arr[rows, cols].mean())
+        scene = SymbolicScene(layout(cat.replace(depth=current)), DepthMap(arr))
+        out = apply_actions(scene, [DepthModify(1, target)])
+        expected = apply_depth_formula(scene.depth, mask, current, target)
+        assert np.array_equal(out.depth.values, expected.values)
 
     def test_swapping_repositions_stay_consistent(self):
         # two moves that trade extents overlap transiently; the executor

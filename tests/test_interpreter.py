@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ from scenefix import (
     serialize_wire_layout,
     suggest_layout,
 )
+from scenefix.benchgen import generate_for_lmd
 from scenefix.dsl import FRAME
 from scenefix.interpreter import (
     _MAX_RESPONSE_BYTES,
@@ -37,7 +39,9 @@ from scenefix.interpreter import (
     make_interpreter,
     place_in_free_band,
 )
+from scenefix.pipeline import RunConfig, run_batch
 from scenefix.scene import bbox_iou
+from scenefix.wire import write_dataset
 
 from helpers import layout, obj
 
@@ -381,6 +385,77 @@ class TestHttpProtocol:
         session = HttpInterpreter("http://127.0.0.1:9/", timeout=0.5)
         with pytest.raises((ProtocolError, InterpreterTimeout)):
             session.request("a cat", "[]", 0)
+
+
+def _read_request(conn: socket.socket) -> None:
+    """Read one HTTP request (head and Content-Length body) off a connection."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(body) < length:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return
+        body += chunk
+
+
+# what a raw endpoint sends back after reading a request, before it closes
+_RAW_REPLIES = {"close": b"", "garbage": b"\x00\x01 this is not HTTP\r\n\r\n"}
+
+
+@pytest.fixture(params=sorted(_RAW_REPLIES))
+def raw_endpoint(request):
+    """A TCP endpoint that reads each request, then closes or sends non-HTTP bytes."""
+    reply = _RAW_REPLIES[request.param]
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                _read_request(conn)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}/"
+    stop.set()
+    thread.join(timeout=5.0)
+    listener.close()
+    assert not thread.is_alive()
+
+
+class TestRawEndpoint:
+    def test_dropped_or_non_http_reply_is_protocol_error(self, raw_endpoint):
+        prompt, lay = _prompt_and_wire()
+        session = HttpInterpreter(raw_endpoint, timeout=5.0)
+        for round_index in range(2):  # every request fails the same way
+            with pytest.raises(ProtocolError):
+                session.request(prompt, serialize_wire_layout(lay), round_index)
+
+    def test_batch_completes_with_samples_errored(self, raw_endpoint, tmp_path):
+        path = str(tmp_path / "dataset.ndjson")
+        write_dataset(path, generate_for_lmd(3, seed=78))
+        report = run_batch(
+            RunConfig(dataset_path=path, rounds=1, solver="external", endpoint=raw_endpoint)
+        )
+        assert len(report.trajectories) == 3
+        assert all(t.error.startswith("ProtocolError") for t in report.trajectories)
 
 
 class TestDispatchAndOneShot:

@@ -17,6 +17,7 @@ from scenefix import (
     DatasetError,
     DuplicateIdError,
     FacingDirection,
+    LayoutValidationError,
     WireFormatError,
     generate_for_lmd,
     generate_forest_style,
@@ -125,8 +126,8 @@ class TestLayoutGrammar:
         with pytest.raises(WireFormatError):
             parse_wire_layout(bad)
 
-    def test_model_violations_propagate_as_model_errors(self):
-        with pytest.raises(ValueError):
+    def test_range_violations_are_layout_validation_errors(self):
+        with pytest.raises(LayoutValidationError):
             parse_wire_layout("[('cat #1', [0, 0, 0.1, 0.1], 1.5, None)]")
         with pytest.raises(DuplicateIdError):
             parse_wire_layout(
