@@ -335,7 +335,10 @@ def parse_expression(text: str) -> SpatialExpression:
 
     builder = _Builder()
     for segment, offset in _segments(work, base):
-        _parse_segment(segment, offset, builder)
+        try:
+            _parse_segment(segment, offset, builder)
+        except ValueError as exc:  # a clause the data model refuses, such as 'rıght'
+            raise ExpressionParseError(str(exc), offset) from exc
     # a later segment may mention the anchor, so check only once all are read
     for anchor, offset in builder.anchors:
         if anchor not in builder.attrs:
@@ -374,8 +377,6 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
     if m is not None:
         target, t_attrs = _parse_np(m.group("target"), offset)
         relatum, r_attrs = _parse_np(m.group("relatum"), offset)
-        if target == relatum:
-            raise ExpressionParseError(f"clause relates {target!r} to itself", offset)
         perspective = _parse_perspective(m.group("persp"), offset)
         if isinstance(perspective, Intrinsic):
             b.anchors.append((perspective.relatum, offset))

@@ -35,11 +35,13 @@ _RECORDS = [
 _PROMPTS = [r["prompt"] for r in _RECORDS]
 _WIRES = [r[key] for r in _RECORDS for key in ("gold_layout", "initial_layout")]
 
-# What one edit writes: characters the grammars care about, a few words,
-# a perspective on an object no prompt mentions, and nothing (a deletion).
+# What one edit writes: characters the grammars care about (a dotless i
+# too, which case-insensitive matching reads as i), a few words, a
+# perspective on an object no prompt mentions, and nothing (a deletion).
 _PIECES = (
-    *"abcxyz AZ019#'.,-+e[]()é²",
-    "", "", " and ", "'s", "horse", " facing ", " left of ", "None", "'Left'", "1e9", "-0.5",
+    *"abcxyz AZ019#'.,-+e[]()é²ı",
+    "", "", " and ", "'s", "horse", "frame", " facing ", " left of ", "None", "'Left'", "1e9",
+    "-0.5",
     " from the horse's perspective", " from the dog's view", "9" * 30,
 )
 
@@ -143,6 +145,40 @@ class TestUnmentionedAnchor:
             "prompt does not parse: perspective anchor 'horse' is not mentioned"
             " (byte offset 0) (line 3)"
         )
+
+
+class TestClauseTheModelRefuses:
+    """Clauses the grammar accepts but the data model refuses fail typed."""
+
+    CASES = [
+        ("A bird. A cat is to the left of the cat.", 7, "relates 'cat' to itself"),
+        # a frame relatum under an object perspective
+        ("A cat is to the left of the frame from the dog's view. A dog.", 0, "camera-anchored"),
+        # case-insensitive matching reads the dotless i as i
+        ("A bird. A cat is to the r\u0131ght of a dog.", 7, "not a valid Relation"),
+    ]
+
+    @pytest.mark.parametrize("prompt, offset, message", CASES)
+    def test_is_a_parse_error_at_its_segment(self, prompt, offset, message):
+        with pytest.raises(ExpressionParseError, match=message) as err:
+            parse_expression(prompt)
+        assert err.value.offset == offset
+        assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("prompt, offset, message", CASES)
+    def test_record_is_dataset_error_with_its_line(self, prompt, offset, message):
+        record = dict(_RECORDS[0], prompt=prompt)
+        with pytest.raises(DatasetError, match=message) as err:
+            sample_from_record(record, line=5)
+        assert err.value.line == 5
+        assert str(err.value).startswith("prompt does not parse: ")
+
+    @pytest.mark.parametrize("prompt, offset, message", CASES)
+    def test_reply_without_annotation_is_accepted(self, prompt, offset, message):
+        wire = _RECORDS[0]["gold_layout"]
+        reply = json.dumps({"updated_prompt": prompt, "layout": wire, "reasoning": ""})
+        proposal = _parse_response_line(reply, prompt)
+        assert proposal.layout == parse_wire_layout(wire)
 
 
 _LONG_ID = "1" * 5000
