@@ -44,6 +44,7 @@ from .dsl import (
 from .errors import FacingUnknownError, UnknownObjectError
 from .evaluate import ErrorCategory, evaluate
 from .interpreter import place_in_free_band
+from .perception import derive_seed
 from .rules import camera_relation, convert_relation
 from .scene import (
     BBox,
@@ -447,12 +448,6 @@ def corrupt_layout(
     return layout, tuple(injections)
 
 
-def _derive(seed: int, tag: str) -> int:
-    from .perception import derive_seed
-
-    return derive_seed(seed, tag)
-
-
 def corrupt_samples(
     samples, config: CorruptionConfig, seed: int = DEFAULT_SEED
 ) -> tuple[list[BenchmarkSample], tuple[Injection, ...]]:
@@ -461,7 +456,7 @@ def corrupt_samples(
     ledger: list[Injection] = []
     for sample in samples:
         layout, injections = corrupt_layout(
-            sample.gold_layout, sample.annotation, config, _derive(seed, sample.id)
+            sample.gold_layout, sample.annotation, config, derive_seed(seed, sample.id)
         )
         out.append(dc_replace(sample, initial_layout=layout))
         ledger.extend(dc_replace(inj, sample_id=sample.id) for inj in injections)

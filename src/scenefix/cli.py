@@ -140,7 +140,6 @@ def _cmd_run(args) -> int:
         facing_flip_rate=args.perception_facing_flip,
         dropout_rate=args.perception_dropout,
         duplicate_rate=args.perception_duplicate,
-        seed=args.seed,
     )
     cfg = pipeline.RunConfig(
         dataset_path=args.dataset,

@@ -15,6 +15,9 @@ few common variants:
 * bare noun phrases ("a cat"), negation sentences ("No backpacks.") and a
   fixed set of background openers ("An oil painting of ...").
 
+A prompt must mention at least one object, and a clause against the
+frame is horizontal only ("a car on the left").
+
 Anything else raises ExpressionParseError with the byte offset of the
 segment that failed, rather than guessing.
 """
@@ -78,6 +81,8 @@ class RelationClause:
             raise ValueError(f"clause relates {self.target!r} to itself")
         if self.relatum == FRAME and not isinstance(self.perspective, Camera):
             raise ValueError("frame-relative clauses are camera-anchored by definition")
+        if self.relatum == FRAME and self.relation not in (Relation.LEFT, Relation.RIGHT):
+            raise ValueError("frame-relative clauses are horizontal only")
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,8 @@ class SpatialExpression:
         object.__setattr__(self, "facings", tuple(self.facings))
         object.__setattr__(self, "negations", tuple(self.negations))
         names = [m.name for m in self.mentions]
+        if not names:
+            raise ValueError("an expression must mention an object")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate mention names: {names}")
         known = set(names)
@@ -120,12 +127,6 @@ class SpatialExpression:
         for assertion in self.facings:
             if assertion.subject not in known:
                 raise ValueError(f"facing subject {assertion.subject!r} is not mentioned")
-
-    def mention_named(self, name: str) -> ObjectMention | None:
-        for m in self.mentions:
-            if m.name == name:
-                return m
-        return None
 
     def facing_asserted(self, name: str) -> FacingDirection | None:
         for a in self.facings:
@@ -343,6 +344,8 @@ def parse_expression(text: str) -> SpatialExpression:
     for anchor, offset in builder.anchors:
         if anchor not in builder.attrs:
             raise ExpressionParseError(f"perspective anchor {anchor!r} is not mentioned", offset)
+    if not builder.order:
+        raise ExpressionParseError("no object is mentioned", base)
 
     return SpatialExpression(
         mentions=builder.mentions(),
@@ -462,8 +465,6 @@ def render_expression(expr: SpatialExpression) -> str:
         referenced.add(clause.target)
         if clause.relatum == FRAME:
             side = "left" if clause.relation is Relation.LEFT else "right"
-            if clause.relation not in (Relation.LEFT, Relation.RIGHT):
-                raise ValueError("frame-relative clauses are horizontal only")
             clause_parts.append(f"{_np_text(target)} is on the {side}")
         else:
             relatum = lookup[clause.relatum]
@@ -492,8 +493,6 @@ def render_expression(expr: SpatialExpression) -> str:
 
     if not sentences:
         body = " and ".join(_np_text(m) for m in expr.mentions)
-        if not body:
-            return body
         if expr.background != DEFAULT_BACKGROUND:
             return f"{expr.background} of {body}."
         return body[0].upper() + body[1:] + "."

@@ -33,7 +33,6 @@ from .scene import (
     SceneLayout,
     SceneObject,
     bbox_iou,
-    box_depth,
     grid_bounds,
     rect_bounds,
 )
@@ -118,15 +117,6 @@ def scene_from_layout(
         c0, c1, r0, r1 = grid_bounds(width, height, obj.bbox)
         arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
     return SymbolicScene(layout=layout, depth=DepthMap(arr))
-
-
-def scene_consistency_gap(scene: SymbolicScene) -> float:
-    """Largest |stored depth - box mean| over all objects (0 when empty)."""
-    gap = 0.0
-    for obj in scene.layout.objects:
-        measured = box_depth(scene.depth, obj.bbox)
-        gap = max(gap, abs(measured - obj.depth))
-    return gap
 
 
 def _shift_depth(values: np.ndarray, current: float, target: float) -> np.ndarray:

@@ -645,15 +645,9 @@ def make_interpreter(endpoint: str, timeout: float = 10.0):
 
 
 def external_suggest(
-    prompt: str, layout_wire: str, endpoint, round_index: int = 0, timeout: float = 10.0
+    prompt: str, layout_wire: str, endpoint: str, round_index: int = 0, timeout: float = 10.0
 ) -> LayoutProposal:
-    """One-shot proposal from an external interpreter endpoint.
-
-    ``endpoint`` may be an URL, a command line, or an existing session
-    object exposing ``request``.
-    """
-    if hasattr(endpoint, "request"):
-        return endpoint.request(prompt, layout_wire, round_index)
+    """One-shot proposal from an external interpreter endpoint (an URL or a command line)."""
     session = make_interpreter(endpoint, timeout=timeout)
     try:
         return session.request(prompt, layout_wire, round_index)

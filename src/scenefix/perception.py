@@ -10,7 +10,9 @@ the queried objects, field for field.
 
 Noise knobs, applied per object in a fixed order: detection dropout,
 box jitter, depth read noise, facing misreads (uniform over the other
-buckets), and spurious duplicates appended after the main sweep.
+buckets), and spurious duplicates appended after the main sweep. Every
+draw comes from ``random.Random(seed)``, with the seed the caller passes;
+the pipeline derives one per sample, round and pass.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class PerceptionConfig:
     facing_flip_rate: float = 0.0
     dropout_rate: float = 0.0
     duplicate_rate: float = 0.0
-    seed: int = 78
 
     def __post_init__(self):
         for name in ("bbox_jitter_sigma", "depth_sigma"):
@@ -111,7 +112,7 @@ def _duplicate_bbox(b: BBox) -> BBox:
     return BBox(x, b.y, b.w, b.h)
 
 
-def _detect(scene, queries, cfg: PerceptionConfig, seed: int | None, events: list | None):
+def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | None):
     """The detector behind ``perceive`` and ``perceive_with_log``.
 
     Appends one PerceptionEvent per realized perturbation to ``events``;
@@ -121,7 +122,7 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int | None, events: lis
     if not queries:
         raise ValueError("queries must be nonempty")
     # every draw below is guarded by a positive rate or sigma
-    rng = None if cfg.noiseless else random.Random(cfg.seed if seed is None else seed)
+    rng = None if cfg.noiseless else random.Random(seed)
     detected: list[SceneObject] = []
 
     for obj in scene.layout.objects:
@@ -153,9 +154,8 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int | None, events: lis
         detected.append(obj.replace(bbox=bbox, depth=depth, facing=facing))
 
     if cfg.duplicate_rate > 0:
-        next_id = max(
-            [o.object_id for o in detected] + [scene.layout.max_object_id()], default=0
-        ) + 1
+        # detected ids are a subset of the scene's, so a clone's id is fresh
+        next_id = scene.layout.max_object_id() + 1
         clones: list[SceneObject] = []
         for obj in detected:
             if rng.random() < cfg.duplicate_rate:
@@ -170,14 +170,14 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int | None, events: lis
     return SceneLayout(tuple(detected), scene.layout.background)
 
 
-def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int | None = None):
+def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int):
     """Like perceive, but also returns the realized perturbation events."""
     events: list[PerceptionEvent] = []
     layout = _detect(scene, queries, cfg, seed, events)
     return layout, tuple(events)
 
 
-def perceive(scene, queries, cfg: PerceptionConfig, seed: int | None = None) -> SceneLayout:
+def perceive(scene, queries, cfg: PerceptionConfig, seed: int) -> SceneLayout:
     """Detect the queried objects in a symbolic scene under the noise model.
 
     Builds no PerceptionEvent; ask ``perceive_with_log`` for those.

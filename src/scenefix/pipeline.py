@@ -306,16 +306,14 @@ def _run_pool(cfg: RunConfig) -> list[SampleTrajectory]:
 def run_batch(cfg: RunConfig) -> RunReport:
     if cfg.workers > 1:
         trajectories = _run_pool(cfg)
-    elif cfg.solver == "external":
-        # start the child first, so it starts up while the dataset is read
-        session = make_interpreter(cfg.endpoint)
-        try:
-            samples = read_dataset(cfg.dataset_path)
-            trajectories = [run_sample(s, cfg, session) for s in samples]
-        finally:
-            session.close()
     else:
-        trajectories = [run_sample(s, cfg) for s in read_dataset(cfg.dataset_path)]
+        # start the child first, so it starts up while the dataset is read
+        session = make_interpreter(cfg.endpoint) if cfg.solver == "external" else None
+        try:
+            trajectories = [run_sample(s, cfg, session) for s in read_dataset(cfg.dataset_path)]
+        finally:
+            if session is not None:
+                session.close()
 
     report = build_report(tuple(trajectories), cfg.rounds)
     if cfg.report_path:

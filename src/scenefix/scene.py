@@ -145,10 +145,6 @@ class BBox:
     def cx(self) -> float:
         return self.x + self.w / 2.0
 
-    @property
-    def cy(self) -> float:
-        return self.y + self.h / 2.0
-
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
 
@@ -157,11 +153,6 @@ _set_x = BBox.x.__set__
 _set_y = BBox.y.__set__
 _set_w = BBox.w.__set__
 _set_h = BBox.h.__set__
-
-
-def bbox_center(b: BBox) -> tuple[float, float]:
-    """Center point (cx, cy) of a box."""
-    return (b.cx, b.cy)
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from scenefix import BBox, FacingDirection, SceneLayout, SceneObject
+from scenefix import BBox, FacingDirection, SceneLayout, SceneObject, box_depth
 
 NOUN_POOL = ("cat", "dog", "cup", "car", "sheep", "fire hydrant", "boat", "deer")
 ATTR_POOL = ("red", "blue", "green", "small", "large")
@@ -92,3 +92,11 @@ NON_ASCII_WIRE = (
     "[('cat #1', [٠, 0, 0.1, 0.1], 0.5, None)]",  # Arabic-Indic zero in the box
     "[('cat #1', [0, 0, 0.1, 0.1], ٠.5, None)]",  # Arabic-Indic zero in the depth
 )
+
+
+def scene_consistency_gap(scene) -> float:
+    """Largest |stored depth - box mean| over a scene's objects (0 when empty)."""
+    gap = 0.0
+    for o in scene.layout.objects:
+        gap = max(gap, abs(box_depth(scene.depth, o.bbox) - o.depth))
+    return gap

@@ -2,7 +2,8 @@
 
 Prompts and wire layouts may raise any SceneFixError; a dataset record
 only DatasetError; an interpreter reply only ProtocolError (syntax) or
-LayoutValidationError (ranges, duplicate ids).
+LayoutValidationError (ranges, duplicate ids). A prompt that parses runs
+through the correction loop raising at most a SceneFixError.
 """
 
 from __future__ import annotations
@@ -10,23 +11,30 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenefix import (
+    BBox,
+    BenchmarkSample,
     DatasetError,
     ExpressionParseError,
+    FacingDirection,
     Intrinsic,
     LayoutValidationError,
     ProtocolError,
     SceneFixError,
+    SceneLayout,
+    SceneObject,
     WireFormatError,
     generate_for_lmd,
     generate_forest_style,
     parse_expression,
     parse_wire_layout,
 )
+from scenefix.cli import main
 from scenefix.interpreter import _parse_response_line
+from scenefix.pipeline import RunConfig, run_sample
 from scenefix.wire import load_layouts, sample_from_record, sample_to_record, write_ndjson
 
 _RECORDS = [
@@ -47,13 +55,13 @@ _PIECES = (
 
 
 @st.composite
-def _mutated(draw, texts):
+def _mutated(draw, texts, pieces=_PIECES):
     """One of ``texts`` after 1-4 edits, each replacing a span of 0-8 characters."""
     text = draw(st.sampled_from(texts))
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(0, len(text)))
         end = draw(st.integers(start, min(len(text), start + 8)))
-        text = text[:start] + draw(st.sampled_from(_PIECES)) + text[end:]
+        text = text[:start] + draw(st.sampled_from(pieces)) + text[end:]
     return text
 
 
@@ -214,3 +222,104 @@ class TestOverlongId:
         reply = json.dumps({"updated_prompt": prompt, "layout": _LONG_ID_WIRE, "reasoning": ""})
         with pytest.raises(LayoutValidationError):
             _parse_response_line(reply, prompt)
+
+
+# Shapes the grammar reads but the loop cannot run: a depth clause against
+# the reserved frame relatum, and a prompt that mentions no object.
+_LOOP_PIECES = (*_PIECES, " in front of the frame", "No ")
+_NPS = ("a cat", "the red dog", "a horse", "the frame")
+_TAILS = (
+    "", " is on the right", " is to the left of a dog", " left of the horse",
+    " in front of the frame", " is facing left", " from the horse's perspective",
+)
+
+
+@st.composite
+def _loop_prompts(draw):
+    """1-3 short sentences, some of them negations, and then perhaps 1-4 edits."""
+    sentence = st.builds(
+        "".join, st.tuples(st.sampled_from(("", "No ")), st.sampled_from(_NPS), st.sampled_from(_TAILS))
+    )
+    text = ". ".join(draw(st.lists(sentence, min_size=1, max_size=3))) + "."
+    return draw(_mutated([text], _LOOP_PIECES)) if draw(st.booleans()) else text
+
+
+def _one_object_per_mention(expr, facings) -> SceneLayout:
+    n = len(expr.mentions)
+    return SceneLayout(tuple(
+        SceneObject(m.name, m.attributes, i + 1, BBox(i / n, 0.4, 1 / n, 0.2),
+                    0.2 + 0.6 * i / n, facings[i % len(facings)])
+        for i, m in enumerate(expr.mentions)
+    ), expr.background)
+
+
+class TestLoopBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(_loop_prompts(), _mutated(_PROMPTS, _LOOP_PIECES)),
+        st.lists(st.sampled_from(list(FacingDirection)), min_size=1, max_size=4),
+    )
+    def test_a_parsed_prompt_fails_the_loop_only_typed(self, prompt, facings):
+        try:
+            expr = parse_expression(prompt)
+        except SceneFixError:
+            assume(False)
+        layout = _one_object_per_mention(expr, facings)
+        sample = BenchmarkSample("s", prompt, expr, layout, layout, "relative", "for-lmd")
+        try:
+            run_sample(sample, RunConfig(dataset_path="unused", rounds=1))
+        except SceneFixError:
+            pass
+
+
+class TestShapesTheLoopCannotRun:
+    # (prompt, byte offset, message, the annotation an unrefused parse gave)
+    CASES = [
+        (
+            "A cat is in front of the frame.", 0, "frame-relative clauses are horizontal only",
+            {
+                "mentions": [{"name": "cat", "attributes": []}, {"name": "frame", "attributes": []}],
+                "relations": [{"target": "cat", "relation": "front", "relatum": "frame",
+                               "perspective": {"kind": "camera"}}],
+                "facings": [], "negations": [], "background": "A realistic image",
+            },
+        ),
+        (
+            "No cats.", 0, "no object is mentioned",
+            {"mentions": [], "relations": [], "facings": [], "negations": ["cats"],
+             "background": "A realistic image"},
+        ),
+        (
+            "An oil painting of no cats.", 19, "no object is mentioned",
+            {"mentions": [], "relations": [], "facings": [], "negations": ["cats"],
+             "background": "An oil painting"},
+        ),
+    ]
+
+    @pytest.mark.parametrize("prompt, offset, message, annotation", CASES)
+    def test_is_a_parse_error_at_its_offset(self, prompt, offset, message, annotation):
+        with pytest.raises(ExpressionParseError, match=message) as err:
+            parse_expression(prompt)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("prompt, offset, message, annotation", CASES)
+    def test_record_is_dataset_error_with_its_line(self, prompt, offset, message, annotation):
+        record = dict(_RECORDS[0], prompt=prompt)
+        with pytest.raises(DatasetError, match=message) as err:
+            sample_from_record(record, line=5)
+        assert err.value.line == 5
+        # the annotation an unrefused parse wrote is refused too
+        with pytest.raises(DatasetError) as err:
+            sample_from_record(dict(record, annotation=annotation), line=6)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("prompt, offset, message, annotation", CASES)
+    def test_run_exits_1_naming_the_line(self, tmp_path, capsys, prompt, offset, message, annotation):
+        wire = "[('cat #1', [0.1, 0.1, 0.2, 0.2], 0.5, None)]"
+        bad = dict(_RECORDS[0], prompt=prompt, annotation=annotation,
+                   gold_layout=wire, initial_layout=wire)
+        path = str(tmp_path / "data.ndjson")
+        write_ndjson(path, [_RECORDS[0], bad])
+        assert main(["run", "--dataset", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith("(line 2)")

@@ -171,7 +171,7 @@ class TestModelValidation:
             mentions=(ObjectMention("cat", ("red",)),),
             facings=(FacingAssertion("cat", FacingDirection.LEFT),),
         )
-        assert expr.mention_named("cat").attributes == ("red",)
+        assert expr.mentions[0].attributes == ("red",)
         assert expr.facing_asserted("cat") is FacingDirection.LEFT
         assert expr.facing_asserted("dog") is None
 

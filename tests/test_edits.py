@@ -27,10 +27,10 @@ from scenefix import (
     diff_layouts,
     scene_from_layout,
 )
-from scenefix.edits import SymbolicScene, _background_fill, action_kind, scene_consistency_gap
+from scenefix.edits import SymbolicScene, _background_fill, action_kind
 from scenefix.scene import object_depth, rect_mask
 
-from helpers import layout, obj, random_layout
+from helpers import layout, obj, random_layout, scene_consistency_gap
 
 
 class TestActionModels:

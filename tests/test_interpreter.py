@@ -467,12 +467,6 @@ class TestDispatchAndOneShot:
         finally:
             session.close()
 
-    def test_external_suggest_with_session_object(self, http_endpoint):
-        prompt, lay = _prompt_and_wire()
-        session = HttpInterpreter(http_endpoint)
-        proposal = external_suggest(prompt, serialize_wire_layout(lay), session)
-        assert proposal.layout == lay
-
     def test_external_suggest_with_command_line(self):
         prompt, lay = _prompt_and_wire()
         proposal = external_suggest(

