@@ -384,7 +384,11 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
         if isinstance(perspective, Intrinsic):
             b.anchors.append((perspective.relatum, offset))
         b.mention(target, t_attrs)
-        b.mention(relatum, r_attrs)
+        if relatum != FRAME:
+            b.mention(relatum, r_attrs)
+        elif r_attrs:
+            # "the red frame" could be an object or the image frame
+            raise ExpressionParseError(f"the frame takes no attributes: {segment!r}", offset)
         b.relations.append(
             RelationClause(target, Relation(m.group("rel").lower()), relatum, perspective)
         )

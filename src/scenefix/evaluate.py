@@ -96,8 +96,12 @@ def evaluate(expr: SpatialExpression, layout: SceneLayout) -> EvaluationResult:
             failures.append(category)
 
     # stage 1: counts
+    objects = layout.objects
     for mention in expr.mentions:
-        count = len(find_matching(layout, mention))
+        count = 0
+        for obj in objects:
+            if mention_matches(obj, mention):
+                count += 1
         if count == 0:
             add(ErrorCategory.MISSING_OBJECT)
         elif count > 1:

@@ -87,10 +87,22 @@ def derive_seed(base: int, *parts) -> int:
 
 
 def _jitter_bbox(rng: random.Random, b: BBox, sigma: float) -> BBox:
-    w = min(max(_MIN_SIDE, b.w + rng.gauss(0.0, sigma)), 1.0)
-    h = min(max(_MIN_SIDE, b.h + rng.gauss(0.0, sigma)), 1.0)
-    x = min(max(0.0, b.x + rng.gauss(0.0, sigma)), 1.0 - w)
-    y = min(max(0.0, b.y + rng.gauss(0.0, sigma)), 1.0 - h)
+    # min(max(lo, v), hi) written out: ``max(lo, v)`` is ``v if v > lo else
+    # lo`` and ``min(m, hi)`` is ``hi if hi < m else m``, operand for operand,
+    # so ties, -0.0 and NaN clamp as the builtins do. Draw order: w, h, x, y.
+    gauss = rng.gauss
+    w = b.w + gauss(0.0, sigma)
+    w = w if w > _MIN_SIDE else _MIN_SIDE
+    w = 1.0 if 1.0 < w else w
+    h = b.h + gauss(0.0, sigma)
+    h = h if h > _MIN_SIDE else _MIN_SIDE
+    h = 1.0 if 1.0 < h else h
+    x = b.x + gauss(0.0, sigma)
+    x = x if x > 0.0 else 0.0
+    x = 1.0 - w if 1.0 - w < x else x
+    y = b.y + gauss(0.0, sigma)
+    y = y if y > 0.0 else 0.0
+    y = 1.0 - h if 1.0 - h < y else y
     return BBox(x, y, w, h)
 
 
@@ -123,42 +135,52 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
         raise ValueError("queries must be nonempty")
     # every draw below is guarded by a positive rate or sigma
     rng = None if cfg.noiseless else random.Random(seed)
+    dropout = cfg.dropout_rate
+    jitter = cfg.bbox_jitter_sigma
+    depth_sigma = cfg.depth_sigma
+    flip = cfg.facing_flip_rate
+    duplicate = cfg.duplicate_rate
     detected: list[SceneObject] = []
 
     for obj in scene.layout.objects:
-        if not any(mention_matches(obj, q) for q in queries):
+        for q in queries:
+            if mention_matches(obj, q):
+                break
+        else:
             continue
-        if cfg.dropout_rate > 0 and rng.random() < cfg.dropout_rate:
+        if dropout > 0 and rng.random() < dropout:
             if events is not None:
                 events.append(PerceptionEvent("dropout", obj.object_id, obj.name))
             continue
         bbox = obj.bbox
-        if cfg.bbox_jitter_sigma > 0:
-            bbox = _jitter_bbox(rng, bbox, cfg.bbox_jitter_sigma)
+        if jitter > 0:
+            bbox = _jitter_bbox(rng, bbox, jitter)
             if events is not None:
                 detail = f"{obj.bbox.as_list()} -> {bbox.as_list()}"
                 events.append(PerceptionEvent("bbox-jitter", obj.object_id, detail))
         depth = _read_depth(scene, bbox, obj.depth)
-        if cfg.depth_sigma > 0:
-            noised = min(1.0, max(0.0, depth + rng.gauss(0.0, cfg.depth_sigma)))
+        if depth_sigma > 0:
+            noised = min(1.0, max(0.0, depth + rng.gauss(0.0, depth_sigma)))
             if events is not None:
                 detail = f"{depth:.4f} -> {noised:.4f}"
                 events.append(PerceptionEvent("depth-noise", obj.object_id, detail))
             depth = noised
         facing = obj.facing
-        if cfg.facing_flip_rate > 0 and rng.random() < cfg.facing_flip_rate:
+        if flip > 0 and rng.random() < flip:
             facing = _misread_facing(rng, facing)
             if events is not None:
                 detail = f"{obj.facing.value} -> {facing.value}"
                 events.append(PerceptionEvent("facing-flip", obj.object_id, detail))
-        detected.append(obj.replace(bbox=bbox, depth=depth, facing=facing))
+        detected.append(
+            SceneObject(obj.name, obj.attributes, obj.object_id, bbox, depth, facing)
+        )
 
-    if cfg.duplicate_rate > 0:
+    if duplicate > 0:
         # detected ids are a subset of the scene's, so a clone's id is fresh
         next_id = scene.layout.max_object_id() + 1
         clones: list[SceneObject] = []
         for obj in detected:
-            if rng.random() < cfg.duplicate_rate:
+            if rng.random() < duplicate:
                 bbox = _duplicate_bbox(obj.bbox)
                 depth = _read_depth(scene, bbox, obj.depth)
                 clones.append(obj.replace(object_id=next_id, bbox=bbox, depth=depth))

@@ -222,9 +222,15 @@ def box_depth(depth: DepthMap, b: BBox) -> float:
     Equals ``object_depth(depth, rect_mask(depth, b))`` up to summation
     order, and raises EmptyRegionError on the same boxes.
     """
-    c0, c1, r0, r1 = rect_bounds(depth, b)
-    region = depth.values[r0 : r1 + 1, c0 : c1 + 1]
-    return float(region.sum()) / region.size
+    import numpy as np
+
+    values = depth.values
+    h, w = values.shape
+    c0, c1, r0, r1 = grid_bounds(w, h, b)
+    # ``region.sum()`` reaches this same reduction through numpy's
+    # Python-level ``_methods._sum``; calling it directly gives the same float
+    region = values[r0 : r1 + 1, c0 : c1 + 1]
+    return float(np.add.reduce(region, None)) / ((r1 - r0 + 1) * (c1 - c0 + 1))
 
 
 def rect_mask(depth: DepthMap, b: BBox) -> frozenset[tuple[int, int]]:
@@ -357,7 +363,11 @@ class SceneLayout:
 
     def first_named(self, name: str) -> SceneObject | None:
         """The lowest-id object with this name; it stands for the name in clauses."""
-        return min(self.named(name), key=lambda o: o.object_id, default=None)
+        first = None
+        for obj in self.objects:
+            if obj.name == name and (first is None or obj.object_id < first.object_id):
+                first = obj
+        return first
 
     def max_object_id(self) -> int:
         return max((obj.object_id for obj in self.objects), default=0)

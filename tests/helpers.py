@@ -100,3 +100,94 @@ def scene_consistency_gap(scene) -> float:
     for o in scene.layout.objects:
         gap = max(gap, abs(box_depth(scene.depth, o.bbox) - o.depth))
     return gap
+
+
+# The detector as it stood before its hot path was unrolled: builtin
+# ``min``/``max`` clamps, ``any`` over the queries, ``SceneObject.replace``
+# and ``ndarray.sum``. Perception must draw and return exactly what this does.
+
+def reference_box_depth(depth, b: BBox) -> float:
+    from scenefix.scene import rect_bounds
+
+    c0, c1, r0, r1 = rect_bounds(depth, b)
+    region = depth.values[r0 : r1 + 1, c0 : c1 + 1]
+    return float(region.sum()) / region.size
+
+
+def reference_jitter_bbox(rng: random.Random, b: BBox, sigma: float) -> BBox:
+    from scenefix.perception import _MIN_SIDE
+
+    w = min(max(_MIN_SIDE, b.w + rng.gauss(0.0, sigma)), 1.0)
+    h = min(max(_MIN_SIDE, b.h + rng.gauss(0.0, sigma)), 1.0)
+    x = min(max(0.0, b.x + rng.gauss(0.0, sigma)), 1.0 - w)
+    y = min(max(0.0, b.y + rng.gauss(0.0, sigma)), 1.0 - h)
+    return BBox(x, y, w, h)
+
+
+def reference_read_depth(scene, bbox: BBox, stored: float) -> float:
+    from scenefix.perception import _SNAP_EPS
+
+    d = reference_box_depth(scene.depth, bbox)
+    return stored if abs(d - stored) < _SNAP_EPS else d
+
+
+def reference_detect(scene, queries, cfg, seed: int, events: list | None):
+    from scenefix.evaluate import mention_matches
+    from scenefix.perception import PerceptionEvent, _duplicate_bbox, _misread_facing
+
+    if not queries:
+        raise ValueError("queries must be nonempty")
+    rng = None if cfg.noiseless else random.Random(seed)
+    detected: list[SceneObject] = []
+
+    for obj in scene.layout.objects:
+        if not any(mention_matches(obj, q) for q in queries):
+            continue
+        if cfg.dropout_rate > 0 and rng.random() < cfg.dropout_rate:
+            if events is not None:
+                events.append(PerceptionEvent("dropout", obj.object_id, obj.name))
+            continue
+        bbox = obj.bbox
+        if cfg.bbox_jitter_sigma > 0:
+            bbox = reference_jitter_bbox(rng, bbox, cfg.bbox_jitter_sigma)
+            if events is not None:
+                detail = f"{obj.bbox.as_list()} -> {bbox.as_list()}"
+                events.append(PerceptionEvent("bbox-jitter", obj.object_id, detail))
+        depth = reference_read_depth(scene, bbox, obj.depth)
+        if cfg.depth_sigma > 0:
+            noised = min(1.0, max(0.0, depth + rng.gauss(0.0, cfg.depth_sigma)))
+            if events is not None:
+                detail = f"{depth:.4f} -> {noised:.4f}"
+                events.append(PerceptionEvent("depth-noise", obj.object_id, detail))
+            depth = noised
+        facing = obj.facing
+        if cfg.facing_flip_rate > 0 and rng.random() < cfg.facing_flip_rate:
+            facing = _misread_facing(rng, facing)
+            if events is not None:
+                detail = f"{obj.facing.value} -> {facing.value}"
+                events.append(PerceptionEvent("facing-flip", obj.object_id, detail))
+        detected.append(obj.replace(bbox=bbox, depth=depth, facing=facing))
+
+    if cfg.duplicate_rate > 0:
+        next_id = scene.layout.max_object_id() + 1
+        clones: list[SceneObject] = []
+        for obj in detected:
+            if rng.random() < cfg.duplicate_rate:
+                bbox = _duplicate_bbox(obj.bbox)
+                depth = reference_read_depth(scene, bbox, obj.depth)
+                clones.append(obj.replace(object_id=next_id, bbox=bbox, depth=depth))
+                if events is not None:
+                    events.append(PerceptionEvent("duplicate", obj.object_id, f"clone #{next_id}"))
+                next_id += 1
+        detected.extend(clones)
+
+    return SceneLayout(tuple(detected), scene.layout.background)
+
+
+def exact_objects(layout: SceneLayout) -> tuple:
+    """Every field of every object, floats as ``float.hex``: equal only bit for bit."""
+    return layout.background, tuple(
+        (o.name, o.attributes, o.object_id, tuple(v.hex() for v in o.bbox.as_list()),
+         o.depth.hex(), o.facing)
+        for o in layout.objects
+    )

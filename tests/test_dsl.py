@@ -102,6 +102,24 @@ class TestParseExamples:
         with pytest.raises(ExpressionParseError):
             parse_expression(bad)
 
+    def test_frame_relatum_is_not_an_object(self):
+        expr = parse_expression("A cat is to the left of the frame.")
+        assert expr.mentions == (ObjectMention("cat"),)
+        assert expr.relations == (RelationClause("cat", Relation.LEFT, FRAME, CAMERA),)
+        assert expr == parse_expression("A cat is on the left.")
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("A cat is to the left of the red frame.", 0),
+            ("A dog. A cat is to the right of a small frame.", 6),
+        ],
+    )
+    def test_attributed_frame_relatum_refused(self, text, offset):
+        with pytest.raises(ExpressionParseError, match="frame takes no attributes") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
     def test_parse_error_carries_offset(self):
         with pytest.raises(ExpressionParseError) as err:
             parse_expression("a cat and @@@@")

@@ -10,16 +10,28 @@ from hypothesis import strategies as st
 
 import scenefix.perception as perception
 from scenefix import (
+    DepthModify,
     FacingDirection,
     ObjectMention,
     PerceptionConfig,
+    Reposition,
+    apply_actions,
     perceive,
     perceive_with_log,
     scene_from_layout,
 )
 from scenefix.perception import ZERO_NOISE, derive_seed
 
-from helpers import ATTR_POOL, NOUN_POOL, layout, obj, random_layout
+from helpers import (
+    ATTR_POOL,
+    NOUN_POOL,
+    exact_objects,
+    grid_bbox,
+    layout,
+    obj,
+    random_layout,
+    reference_detect,
+)
 
 
 def _scene():
@@ -234,3 +246,54 @@ class TestEventLog:
         assert perceive(scene, queries, cfg, seed=seed) == (
             perceive_with_log(scene, queries, cfg, seed=seed)[0]
         )
+
+
+def _edited_scene(rng: random.Random):
+    """A random scene, perhaps edited so that patches overlap and repaint."""
+    scene = scene_from_layout(random_layout(rng, max_objects=5))
+    ids = [o.object_id for o in scene.layout.objects]
+    if not ids or rng.random() < 0.3:
+        return scene
+    actions = []
+    for oid in rng.sample(ids, rng.randrange(1, len(ids) + 1)):
+        if rng.random() < 0.5:
+            actions.append(Reposition(oid, grid_bbox(rng)))
+        else:
+            actions.append(DepthModify(oid, round(rng.uniform(0.0, 1.0), 3), grid_bbox(rng)))
+    return apply_actions(scene, actions)
+
+
+_QUERIES = st.lists(
+    st.builds(
+        ObjectMention,
+        st.sampled_from(NOUN_POOL),
+        st.lists(st.sampled_from(ATTR_POOL), max_size=2).map(tuple),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestReferenceDetector:
+    """The detector draws, clamps and reads depth exactly as the reference
+    in ``helpers`` does: same objects bit for bit, same events."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        sigmas=st.tuples(*[st.sampled_from([0.0, 0.02, 0.3])] * 2),
+        rates=st.tuples(*[st.sampled_from([0.0, 0.05, 0.5, 1.0])] * 3),
+        queries=_QUERIES,
+    )
+    def test_matches_the_reference_bit_for_bit(self, layout_seed, seed, sigmas, rates, queries):
+        scene = _edited_scene(random.Random(layout_seed))
+        cfg = PerceptionConfig(*sigmas, *rates)
+        expected_events: list = []
+        expected = reference_detect(scene, queries, cfg, seed, expected_events)
+        assert exact_objects(perceive(scene, queries, cfg, seed=seed)) == exact_objects(expected)
+        got, events = perceive_with_log(scene, queries, cfg, seed=seed)
+        assert exact_objects(got) == exact_objects(expected)
+        assert [(e.kind, e.object_id, e.detail) for e in events] == [
+            (e.kind, e.object_id, e.detail) for e in expected_events
+        ]

@@ -12,16 +12,23 @@ import pytest
 
 import scenefix.pipeline as pipeline
 from scenefix import (
+    BBox,
+    BenchmarkSample,
     DatasetError,
+    ErrorCategory,
     PerceptionConfig,
     RunConfig,
+    SceneLayout,
+    SceneObject,
     apply_corruption,
     generate_for_lmd,
     generate_forest_style,
+    parse_expression,
     run_batch,
     run_sample,
     write_dataset,
 )
+from scenefix.edits import Addition
 from scenefix.perception import ZERO_NOISE
 from scenefix.pipeline import build_report, write_report
 from scenefix.wire import sample_from_record, sample_to_record
@@ -90,6 +97,18 @@ class TestSingleSample:
             assert not trajectory.correct_at(0)
             assert trajectory.correct_at(1)
             assert trajectory.rounds[1].actions
+
+    def test_frame_relatum_adds_no_object(self):
+        prompt = "A cat is to the left of the frame."
+        cat = SceneLayout((SceneObject("cat", (), 1, BBox(0.7, 0.4, 0.2, 0.2), 0.5),))
+        sample = BenchmarkSample(
+            "s", prompt, parse_expression(prompt), cat, cat, "relative", "for-lmd"
+        )
+        trajectory = run_sample(sample, RunConfig(dataset_path="unused", rounds=1))
+        assert trajectory.error is None
+        assert trajectory.rounds[0].result.failures == (ErrorCategory.LEFT_RIGHT,)
+        assert trajectory.correct_at(1)
+        assert not any(isinstance(a, Addition) for a in trajectory.rounds[1].actions)
 
     @pytest.mark.xfail(
         strict=True,

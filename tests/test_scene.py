@@ -27,7 +27,7 @@ from scenefix import (
 )
 from scenefix.scene import bbox_iou, bucket_center, rect_bounds, rect_mask
 
-from helpers import layout, obj
+from helpers import NOUN_POOL, layout, obj, random_layout
 
 
 class TestAngleBuckets:
@@ -384,6 +384,13 @@ class TestSceneLayout:
         assert lay.find(4).bbox.x == 0.5
         assert [o.object_id for o in lay.named("cat")] == [1, 4]
         assert lay.find(99) is None
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(NOUN_POOL + ("frame",)))
+    def test_first_named_is_the_lowest_id(self, layout_seed, name):
+        lay = random_layout(random.Random(layout_seed), max_objects=6, id_pool=tuple(range(1, 10)))
+        assert lay.first_named(name) is min(
+            lay.named(name), key=lambda o: o.object_id, default=None
+        )
 
     def test_max_object_id(self):
         assert layout(obj("cat", oid=7), obj("dog", oid=3, x=0.5)).max_object_id() == 7
