@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ExpressionParseError
-from .scene import DEFAULT_BACKGROUND, FacingDirection, Relation
+from .scene import DEFAULT_BACKGROUND, FacingDirection, Relation, slot_setters
 
 # Reserved relatum name for unary clauses checked against the image midline.
 FRAME = "frame"
@@ -45,13 +45,20 @@ SIZE_WORDS = ("small", "large", "big", "tiny", "huge", "little")
 ATTRIBUTE_WORDS = frozenset(COLOR_WORDS + SIZE_WORDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObjectMention:
     name: str
     attributes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
+    def __init__(self, name: str, attributes: tuple[str, ...] = ()):
+        _set_mention_name(self, name)
+        _set_mention_attributes(self, tuple(attributes))
+
+    def __reduce__(self):
+        return ObjectMention, (self.name, self.attributes)
+
+
+_set_mention_name, _set_mention_attributes = slot_setters(ObjectMention)
 
 
 @dataclass(frozen=True)
@@ -69,20 +76,31 @@ class Intrinsic:
 CAMERA = Camera()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RelationClause:
     target: str
     relation: Relation
     relatum: str
     perspective: Camera | Intrinsic = CAMERA
 
-    def __post_init__(self):
-        if self.target == self.relatum:
-            raise ValueError(f"clause relates {self.target!r} to itself")
-        if self.relatum == FRAME and not isinstance(self.perspective, Camera):
+    def __init__(self, target: str, relation: Relation, relatum: str,
+                 perspective: Camera | Intrinsic = CAMERA):
+        if target == relatum:
+            raise ValueError(f"clause relates {target!r} to itself")
+        if relatum == FRAME and not isinstance(perspective, Camera):
             raise ValueError("frame-relative clauses are camera-anchored by definition")
-        if self.relatum == FRAME and self.relation not in (Relation.LEFT, Relation.RIGHT):
+        if relatum == FRAME and relation not in (Relation.LEFT, Relation.RIGHT):
             raise ValueError("frame-relative clauses are horizontal only")
+        _set_target(self, target)
+        _set_relation(self, relation)
+        _set_relatum(self, relatum)
+        _set_perspective(self, perspective)
+
+    def __reduce__(self):
+        return RelationClause, (self.target, self.relation, self.relatum, self.perspective)
+
+
+_set_target, _set_relation, _set_relatum, _set_perspective = slot_setters(RelationClause)
 
 
 @dataclass(frozen=True)
@@ -95,7 +113,7 @@ class FacingAssertion:
             raise ValueError("a facing assertion needs a concrete bucket")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SpatialExpression:
     mentions: tuple[ObjectMention, ...]
     relations: tuple[RelationClause, ...] = ()
@@ -104,18 +122,21 @@ class SpatialExpression:
     background: str = DEFAULT_BACKGROUND
     raw_text: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mentions", tuple(self.mentions))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "facings", tuple(self.facings))
-        object.__setattr__(self, "negations", tuple(self.negations))
-        names = [m.name for m in self.mentions]
+    def __init__(self, mentions: tuple[ObjectMention, ...],
+                 relations: tuple[RelationClause, ...] = (),
+                 facings: tuple[FacingAssertion, ...] = (), negations: tuple[str, ...] = (),
+                 background: str = DEFAULT_BACKGROUND, raw_text: str = ""):
+        mentions = tuple(mentions)
+        relations = tuple(relations)
+        facings = tuple(facings)
+        negations = tuple(negations)
+        names = [m.name for m in mentions]
         if not names:
             raise ValueError("an expression must mention an object")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate mention names: {names}")
         known = set(names)
-        for clause in self.relations:
+        if len(known) != len(names):
+            raise ValueError(f"duplicate mention names: {names}")
+        for clause in relations:
             if clause.target not in known:
                 raise ValueError(f"clause target {clause.target!r} is not mentioned")
             if clause.relatum != FRAME and clause.relatum not in known:
@@ -124,15 +145,29 @@ class SpatialExpression:
                 raise ValueError(
                     f"perspective anchor {clause.perspective.relatum!r} is not mentioned"
                 )
-        for assertion in self.facings:
+        for assertion in facings:
             if assertion.subject not in known:
                 raise ValueError(f"facing subject {assertion.subject!r} is not mentioned")
+        _set_mentions(self, mentions)
+        _set_relations(self, relations)
+        _set_facings(self, facings)
+        _set_negations(self, negations)
+        _set_expr_background(self, background)
+        _set_raw_text(self, raw_text)
+
+    def __reduce__(self):
+        return SpatialExpression, (self.mentions, self.relations, self.facings,
+                                   self.negations, self.background, self.raw_text)
 
     def facing_asserted(self, name: str) -> FacingDirection | None:
         for a in self.facings:
             if a.subject == name:
                 return a.facing
         return None
+
+
+(_set_mentions, _set_relations, _set_facings, _set_negations, _set_expr_background,
+ _set_raw_text) = slot_setters(SpatialExpression)
 
 
 # --------------------------------------------------------------------------
@@ -212,6 +247,18 @@ _FACING_SUFFIXES = (
     " the camera",
     " to the",
 )
+
+
+_RELATION_BY_WORD = {r.value: r for r in Relation}
+
+
+def _relation(word: str) -> Relation:
+    """``Relation(word.lower())``, refused with the enum's own message."""
+    word = word.lower()
+    relation = _RELATION_BY_WORD.get(word)
+    if relation is None:
+        raise ValueError(f"{word!r} is not a valid Relation")
+    return relation
 
 
 def _parse_np(text: str, offset: int) -> tuple[str, tuple[str, ...]]:
@@ -390,7 +437,7 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
             # "the red frame" could be an object or the image frame
             raise ExpressionParseError(f"the frame takes no attributes: {segment!r}", offset)
         b.relations.append(
-            RelationClause(target, Relation(m.group("rel").lower()), relatum, perspective)
+            RelationClause(target, _relation(m.group("rel")), relatum, perspective)
         )
         return
 
@@ -403,7 +450,7 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
             )
         target, t_attrs = _parse_np(m.group("target"), offset)
         b.mention(target, t_attrs)
-        b.relations.append(RelationClause(target, Relation(m.group("rel").lower()), FRAME, CAMERA))
+        b.relations.append(RelationClause(target, _relation(m.group("rel")), FRAME, CAMERA))
         return
 
     # bare noun phrase

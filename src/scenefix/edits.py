@@ -34,7 +34,6 @@ from .scene import (
     SceneObject,
     bbox_iou,
     grid_bounds,
-    rect_bounds,
 )
 
 # Additions may overlap existing boxes at most this much.
@@ -208,27 +207,40 @@ def _background_fill(arr: np.ndarray, bounds: tuple[int, int, int, int]) -> None
             arr[r0 : r1 + 1, c1 + 1 :].ravel(),
         )
     )
-    fill = float(np.median(outside)) if outside.size else 0.0
+    # ``np.median`` without its Python wrappers, so the same float: the
+    # fresh array is partitioned in place at the middle (``np.median``
+    # also puts the largest value last to probe for NaN, which no depth
+    # grid holds), and the middle values go through the same reduction,
+    # which reads -0.0 as 0.0 whichever of two equal zeros lands there
+    n = outside.size
+    half = n // 2
+    if n % 2:
+        outside.partition(half)
+        fill = float(np.add.reduce(outside[half : half + 1]))
+    elif n:
+        outside.partition((half - 1, half))
+        fill = float(np.add.reduce(outside[half - 1 : half + 1])) / 2
+    else:
+        fill = 0.0
     arr[r0 : r1 + 1, c0 : c1 + 1] = fill
 
 
 def _nn_resample(patch: np.ndarray, rows: int, cols: int) -> np.ndarray:
     src_r = np.minimum(((np.arange(rows) + 0.5) * patch.shape[0] / rows).astype(np.intp), patch.shape[0] - 1)
     src_c = np.minimum(((np.arange(cols) + 0.5) * patch.shape[1] / cols).astype(np.intp), patch.shape[1] - 1)
-    return patch[np.ix_(src_r, src_c)]
+    return patch.take(src_r, 0).take(src_c, 1)
 
 
-def _move_patch(arr: np.ndarray, probe: DepthMap, old: BBox, new: BBox) -> None:
-    ob = rect_bounds(probe, old)
-    nb = rect_bounds(probe, new)
-    c0, c1, r0, r1 = ob
+def _move_patch(arr: np.ndarray, old: BBox, new: BBox) -> None:
+    h, w = arr.shape
+    c0, c1, r0, r1 = ob = grid_bounds(w, h, old)
+    nc0, nc1, nr0, nr1 = grid_bounds(w, h, new)
     patch = arr[r0 : r1 + 1, c0 : c1 + 1].copy()
     _background_fill(arr, ob)
-    nc0, nc1, nr0, nr1 = nb
     arr[nr0 : nr1 + 1, nc0 : nc1 + 1] = _nn_resample(patch, nr1 - nr0 + 1, nc1 - nc0 + 1)
 
 
-def _restore_consistency(arr: np.ndarray, probe: DepthMap, objects: list[SceneObject]) -> None:
+def _restore_consistency(arr: np.ndarray, objects: list[SceneObject]) -> None:
     """Repaint any object whose mask mean drifted from its stored depth.
 
     A move or backfill can write through a region another object still
@@ -236,13 +248,18 @@ def _restore_consistency(arr: np.ndarray, probe: DepthMap, objects: list[SceneOb
     Repainting in layout order converges once the boxes are disjoint again;
     the pass cap keeps genuinely overlapping layouts from ping-ponging.
     """
+    h, w = arr.shape
+    regions = []
+    for obj in objects:
+        c0, c1, r0, r1 = grid_bounds(w, h, obj.bbox)
+        regions.append((arr[r0 : r1 + 1, c0 : c1 + 1], (r1 - r0 + 1) * (c1 - c0 + 1), obj.depth))
     for _ in range(3):
         clean = True
-        for obj in objects:
-            c0, c1, r0, r1 = rect_bounds(probe, obj.bbox)
-            region = arr[r0 : r1 + 1, c0 : c1 + 1]
-            if abs(float(region.sum()) / region.size - obj.depth) > 1e-3:
-                region[:] = obj.depth
+        for region, size, depth in regions:
+            # ``region.sum()`` reaches this reduction through numpy's
+            # Python-level ``_methods._sum``: the same float
+            if abs(float(np.add.reduce(region, None)) / size - depth) > 1e-3:
+                region[:] = depth
                 clean = False
         if clean:
             return
@@ -261,7 +278,7 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
         return scene
 
     arr = np.array(scene.depth.values, copy=True)
-    probe = scene.depth  # resolution only; values read through ``arr``
+    h, w = arr.shape
     objects: list[SceneObject] = list(scene.layout.objects)
 
     def index_of(object_id: int) -> int:
@@ -273,7 +290,7 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
     for action in actions:
         if isinstance(action, Deletion):
             i = index_of(action.object_id)
-            _background_fill(arr, rect_bounds(probe, objects[i].bbox))
+            _background_fill(arr, grid_bounds(w, h, objects[i].bbox))
             del objects[i]
         elif isinstance(action, Addition):
             obj = action.obj
@@ -284,12 +301,12 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
                 raise OverlapCollisionError(
                     f"new box for {obj.name!r} overlaps an existing object (IoU {worst:.2f})"
                 )
-            c0, c1, r0, r1 = rect_bounds(probe, obj.bbox)
+            c0, c1, r0, r1 = grid_bounds(w, h, obj.bbox)
             arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
             objects.append(obj)
         elif isinstance(action, Reposition):
             i = index_of(action.object_id)
-            _move_patch(arr, probe, objects[i].bbox, action.new_bbox)
+            _move_patch(arr, objects[i].bbox, action.new_bbox)
             objects[i] = objects[i].replace(bbox=action.new_bbox)
         elif isinstance(action, AttributeModify):
             i = index_of(action.object_id)
@@ -302,14 +319,14 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
             obj = objects[i]
             bbox = action.new_bbox or obj.bbox
             if action.new_bbox is not None and action.new_bbox != obj.bbox:
-                _move_patch(arr, probe, obj.bbox, action.new_bbox)
-            c0, c1, r0, r1 = rect_bounds(probe, bbox)
+                _move_patch(arr, obj.bbox, action.new_bbox)
+            c0, c1, r0, r1 = grid_bounds(w, h, bbox)
             patch = arr[r0 : r1 + 1, c0 : c1 + 1]
             patch[...] = _shift_depth(patch, obj.depth, action.new_depth)
             objects[i] = obj.replace(depth=action.new_depth, bbox=bbox)
         else:
             raise TypeError(f"unknown action {action!r}")
-        _restore_consistency(arr, probe, objects)
+        _restore_consistency(arr, objects)
 
     return SymbolicScene(
         layout=scene.layout.with_objects(tuple(objects)), depth=DepthMap(arr)

@@ -24,7 +24,7 @@ from enum import Enum
 from .dsl import FRAME, ObjectMention, RelationClause, SpatialExpression
 from .errors import FacingUnknownError, UnknownObjectError
 from .rules import camera_relation
-from .scene import Relation, SceneLayout, SceneObject
+from .scene import Relation, SceneLayout, SceneObject, slot_setters
 
 
 class ErrorCategory(Enum):
@@ -69,23 +69,36 @@ def eval_frame_relation(relation: Relation, a: SceneObject) -> bool:
     raise ValueError(f"frame-relative clauses are horizontal only, got {relation.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClauseVerdict:
     clause: RelationClause
     satisfied: bool
     camera_relation: Relation | None
     note: str = ""
 
+    def __reduce__(self):
+        return ClauseVerdict, (self.clause, self.satisfied, self.camera_relation, self.note)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class EvaluationResult:
     correct: bool
     failures: tuple[ErrorCategory, ...]
     per_clause: tuple[ClauseVerdict, ...] = ()
 
-    def __post_init__(self):
-        if self.correct != (len(self.failures) == 0):
+    def __init__(self, correct: bool, failures: tuple[ErrorCategory, ...],
+                 per_clause: tuple[ClauseVerdict, ...] = ()):
+        if correct != (len(failures) == 0):
             raise ValueError("correct must hold exactly when there are no failures")
+        _set_correct(self, correct)
+        _set_failures(self, failures)
+        _set_per_clause(self, per_clause)
+
+    def __reduce__(self):
+        return EvaluationResult, (self.correct, self.failures, self.per_clause)
+
+
+_set_correct, _set_failures, _set_per_clause = slot_setters(EvaluationResult)
 
 
 def evaluate(expr: SpatialExpression, layout: SceneLayout) -> EvaluationResult:
@@ -119,9 +132,7 @@ def evaluate(expr: SpatialExpression, layout: SceneLayout) -> EvaluationResult:
         verdicts.append(_eval_clause(clause, expr, layout, add))
 
     failures_t = tuple(failures)
-    return EvaluationResult(
-        correct=not failures_t, failures=failures_t, per_clause=tuple(verdicts)
-    )
+    return EvaluationResult(not failures_t, failures_t, tuple(verdicts))
 
 
 def _eval_clause(

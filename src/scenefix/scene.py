@@ -114,9 +114,8 @@ class BBox:
     h: float
 
     def __init__(self, x: float, y: float, w: float, h: float):
-        # unrolled, and stored through the slot descriptors, which the
-        # frozen ``__setattr__`` does not guard: perception and the solver
-        # build tens of thousands of boxes per batch
+        # unrolled: perception and the solver build tens of thousands of
+        # boxes per batch
         if not isinstance(x, (int, float)) or not math.isfinite(x):
             raise ValueError(f"bbox field x must be finite, got {x!r}")
         if not isinstance(y, (int, float)) or not math.isfinite(y):
@@ -149,10 +148,14 @@ class BBox:
         return [self.x, self.y, self.w, self.h]
 
 
-_set_x = BBox.x.__set__
-_set_y = BBox.y.__set__
-_set_w = BBox.w.__set__
-_set_h = BBox.h.__set__
+def slot_setters(cls) -> tuple:
+    """Each field's slot ``__set__`` of a frozen slotted dataclass, in field
+    order: a hand-written ``__init__`` stores through these, which the frozen
+    ``__setattr__`` does not guard and which cost less than ``object.__setattr__``."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_x, _set_y, _set_w, _set_h = slot_setters(BBox)
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
@@ -178,8 +181,9 @@ class DepthMap:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"depth map must be a non-empty 2-d grid, got shape {arr.shape}")
         # NaN and +-inf fail this range test too; only then is it worth
-        # telling the two faults apart
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        # telling the two faults apart. ``arr.min()``/``arr.max()`` reach
+        # these reductions through numpy's Python-level ``_methods``
+        if not (np.minimum.reduce(arr, None) >= 0.0 and np.maximum.reduce(arr, None) <= 1.0):
             if not np.isfinite(arr).all():
                 raise ValueError("depth map contains non-finite values")
             raise ValueError("depth values must lie in [0, 1]")
@@ -316,12 +320,8 @@ class SceneObject:
         )
 
 
-_set_name = SceneObject.name.__set__
-_set_attributes = SceneObject.attributes.__set__
-_set_object_id = SceneObject.object_id.__set__
-_set_bbox = SceneObject.bbox.__set__
-_set_depth = SceneObject.depth.__set__
-_set_facing = SceneObject.facing.__set__
+(_set_name, _set_attributes, _set_object_id, _set_bbox, _set_depth,
+ _set_facing) = slot_setters(SceneObject)
 _OBJECT_FIELDS = frozenset(f.name for f in fields(SceneObject))
 
 
@@ -337,20 +337,25 @@ def swap_extents(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SceneLayout:
     """An ordered collection of objects plus a free-text background."""
 
     objects: tuple[SceneObject, ...]
     background: str = DEFAULT_BACKGROUND
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+    def __init__(self, objects: tuple[SceneObject, ...], background: str = DEFAULT_BACKGROUND):
+        objects = tuple(objects)
         seen: set[int] = set()
-        for obj in self.objects:
+        for obj in objects:
             if obj.object_id in seen:
                 raise DuplicateIdError(f"duplicate object id {obj.object_id}")
             seen.add(obj.object_id)
+        _set_objects(self, objects)
+        _set_background(self, background)
+
+    def __reduce__(self):
+        return SceneLayout, (self.objects, self.background)
 
     def find(self, object_id: int) -> SceneObject | None:
         for obj in self.objects:
@@ -374,3 +379,6 @@ class SceneLayout:
 
     def with_objects(self, objects) -> "SceneLayout":
         return SceneLayout(tuple(objects), self.background)
+
+
+_set_objects, _set_background = slot_setters(SceneLayout)

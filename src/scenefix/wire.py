@@ -142,8 +142,7 @@ def _reject_entry(body: str, pos: int) -> NoReturn:
     raise WireFormatError(f"unparsable layout entry at offset {pos}: {body[pos:pos + 40]!r}")
 
 
-def _parse_facing(match: re.Match) -> FacingDirection:
-    label = match.group("facing") or match.group("bare")
+def _parse_facing(label: str) -> FacingDirection:
     facing = _FACING_BY_LOWER.get(label.lower())
     if facing is None:
         raise WireFormatError(f"unknown facing label {label!r}")
@@ -168,29 +167,26 @@ def parse_wire_layout(text: str, background: str = DEFAULT_BACKGROUND) -> SceneL
         match = _ENTRY_RE.match(body, pos)
         if match is None:
             _reject_entry(body, pos)
-        words = match["base"].split()
+        base, id_text, x, y, w, h, depth, quoted, bare, sep = match.groups()
+        words = base.split()
         if not words:
             _reject_entry(body, pos)
         name, attrs = _name_and_attributes(words)
         try:
-            x, y, w, h = float(match["x"]), float(match["y"]), float(match["w"]), float(match["h"])
+            x, y, w, h = float(x), float(y), float(w), float(h)
         except ValueError as exc:
             raise WireFormatError(f"bad number in entry for {name!r}: {exc}") from exc
         try:
             objects.append(
                 SceneObject(
-                    name=name,
-                    attributes=attrs,
-                    object_id=int(match["id"]),
-                    bbox=BBox(x, y, w, h),
-                    depth=float(match["depth"]),
-                    facing=_parse_facing(match),
+                    name, attrs, int(id_text), BBox(x, y, w, h), float(depth),
+                    _parse_facing(quoted or bare),
                 )
             )
         except ValueError as exc:  # a range check, or an id too long for int()
             raise LayoutValidationError(str(exc)) from exc
         pos = match.end()
-        if not match["sep"] and pos < end:
+        if not sep and pos < end:
             raise WireFormatError(f"unexpected text after entry: {body[pos:pos + 40]!r}")
     return SceneLayout(tuple(objects), background)
 

@@ -191,3 +191,139 @@ def exact_objects(layout: SceneLayout) -> tuple:
          o.depth.hex(), o.facing)
         for o in layout.objects
     )
+
+
+# The edit executor and grid synthesis as they stood before their kernels
+# called numpy's reductions directly: ``np.median``, ``np.ix_``,
+# ``ndarray.sum`` and bounds taken again on every repaint pass. The
+# executor must return exactly what these do, and raise the same errors.
+
+def reference_scene_from_layout(layout: SceneLayout, width: int, height: int, background_depth):
+    import numpy as np
+
+    from scenefix.edits import SymbolicScene
+    from scenefix.scene import DepthMap, grid_bounds
+
+    arr = np.full((height, width), float(background_depth), dtype=np.float64)
+    for o in layout.objects:
+        c0, c1, r0, r1 = grid_bounds(width, height, o.bbox)
+        arr[r0 : r1 + 1, c0 : c1 + 1] = o.depth
+    return SymbolicScene(layout=layout, depth=DepthMap(arr))
+
+
+def reference_background_fill(arr, bounds) -> None:
+    import numpy as np
+
+    c0, c1, r0, r1 = bounds
+    outside = np.concatenate(
+        (
+            arr[:r0].ravel(),
+            arr[r1 + 1 :].ravel(),
+            arr[r0 : r1 + 1, :c0].ravel(),
+            arr[r0 : r1 + 1, c1 + 1 :].ravel(),
+        )
+    )
+    fill = float(np.median(outside)) if outside.size else 0.0
+    arr[r0 : r1 + 1, c0 : c1 + 1] = fill
+
+
+def reference_nn_resample(patch, rows: int, cols: int):
+    import numpy as np
+
+    src_r = np.minimum(((np.arange(rows) + 0.5) * patch.shape[0] / rows).astype(np.intp), patch.shape[0] - 1)
+    src_c = np.minimum(((np.arange(cols) + 0.5) * patch.shape[1] / cols).astype(np.intp), patch.shape[1] - 1)
+    return patch[np.ix_(src_r, src_c)]
+
+
+def _reference_move_patch(arr, probe, old: BBox, new: BBox) -> None:
+    from scenefix.scene import rect_bounds
+
+    ob = rect_bounds(probe, old)
+    nb = rect_bounds(probe, new)
+    c0, c1, r0, r1 = ob
+    patch = arr[r0 : r1 + 1, c0 : c1 + 1].copy()
+    reference_background_fill(arr, ob)
+    nc0, nc1, nr0, nr1 = nb
+    arr[nr0 : nr1 + 1, nc0 : nc1 + 1] = reference_nn_resample(patch, nr1 - nr0 + 1, nc1 - nc0 + 1)
+
+
+def reference_restore_consistency(arr, probe, objects: list) -> None:
+    from scenefix.scene import rect_bounds
+
+    for _ in range(3):
+        clean = True
+        for o in objects:
+            c0, c1, r0, r1 = rect_bounds(probe, o.bbox)
+            region = arr[r0 : r1 + 1, c0 : c1 + 1]
+            if abs(float(region.sum()) / region.size - o.depth) > 1e-3:
+                region[:] = o.depth
+                clean = False
+        if clean:
+            return
+
+
+def reference_apply_actions(scene, actions):
+    import numpy as np
+
+    from scenefix.edits import (
+        MAX_ADDITION_IOU, Addition, AttributeModify, DepthModify, Deletion, FacingModify,
+        Reposition, SymbolicScene, _shift_depth,
+    )
+    from scenefix.errors import DuplicateIdError, OverlapCollisionError, UnknownObjectError
+    from scenefix.scene import DepthMap, bbox_iou, rect_bounds
+
+    actions = list(actions)
+    if not actions:
+        return scene
+    arr = np.array(scene.depth.values, copy=True)
+    probe = scene.depth
+    objects = list(scene.layout.objects)
+
+    def index_of(object_id: int) -> int:
+        for i, o in enumerate(objects):
+            if o.object_id == object_id:
+                return i
+        raise UnknownObjectError(f"no object with id {object_id}")
+
+    for action in actions:
+        if isinstance(action, Deletion):
+            i = index_of(action.object_id)
+            reference_background_fill(arr, rect_bounds(probe, objects[i].bbox))
+            del objects[i]
+        elif isinstance(action, Addition):
+            o = action.obj
+            if any(p.object_id == o.object_id for p in objects):
+                raise DuplicateIdError(f"id {o.object_id} already present")
+            worst = max((bbox_iou(o.bbox, p.bbox) for p in objects), default=0.0)
+            if worst > MAX_ADDITION_IOU:
+                raise OverlapCollisionError(
+                    f"new box for {o.name!r} overlaps an existing object (IoU {worst:.2f})"
+                )
+            c0, c1, r0, r1 = rect_bounds(probe, o.bbox)
+            arr[r0 : r1 + 1, c0 : c1 + 1] = o.depth
+            objects.append(o)
+        elif isinstance(action, Reposition):
+            i = index_of(action.object_id)
+            _reference_move_patch(arr, probe, objects[i].bbox, action.new_bbox)
+            objects[i] = objects[i].replace(bbox=action.new_bbox)
+        elif isinstance(action, AttributeModify):
+            i = index_of(action.object_id)
+            objects[i] = objects[i].replace(attributes=action.new_attributes)
+        elif isinstance(action, FacingModify):
+            i = index_of(action.object_id)
+            objects[i] = objects[i].replace(facing=action.new_facing)
+        elif isinstance(action, DepthModify):
+            i = index_of(action.object_id)
+            o = objects[i]
+            bbox = action.new_bbox or o.bbox
+            if action.new_bbox is not None and action.new_bbox != o.bbox:
+                _reference_move_patch(arr, probe, o.bbox, action.new_bbox)
+            c0, c1, r0, r1 = rect_bounds(probe, bbox)
+            patch = arr[r0 : r1 + 1, c0 : c1 + 1]
+            patch[...] = _shift_depth(patch, o.depth, action.new_depth)
+            objects[i] = o.replace(depth=action.new_depth, bbox=bbox)
+        else:
+            raise TypeError(f"unknown action {action!r}")
+        reference_restore_consistency(arr, probe, objects)
+
+    return SymbolicScene(layout=scene.layout.with_objects(tuple(objects)), depth=DepthMap(arr))

@@ -21,16 +21,30 @@ from scenefix import (
     FacingModify,
     OverlapCollisionError,
     Reposition,
+    SceneObject,
     UnknownObjectError,
     apply_actions,
     apply_depth_formula,
     diff_layouts,
     scene_from_layout,
 )
-from scenefix.edits import SymbolicScene, _background_fill, action_kind
-from scenefix.scene import object_depth, rect_mask
+from scenefix.edits import SymbolicScene, _background_fill, _nn_resample, action_kind
+from scenefix.scene import grid_bounds, object_depth, rect_mask
 
-from helpers import layout, obj, random_layout, scene_consistency_gap
+from helpers import (
+    ATTR_POOL,
+    FACING_POOL,
+    NOUN_POOL,
+    exact_objects,
+    layout,
+    obj,
+    random_layout,
+    reference_apply_actions,
+    reference_background_fill,
+    reference_nn_resample,
+    reference_scene_from_layout,
+    scene_consistency_gap,
+)
 
 
 class TestActionModels:
@@ -342,3 +356,138 @@ class TestDiffApplyRoundTrip:
             assert have.bbox == want_obj.bbox
             assert have.depth == pytest.approx(want_obj.depth, abs=1e-3)
         assert (a == b) == (actions == [])
+
+
+# --------------------------------------------------------------------------
+# the executor against its earlier form
+
+def _edge_depth(rng: random.Random) -> float:
+    # signed zero and the walls, where np.median and np.clip could differ
+    # from a hand-rolled kernel, besides grid-valued and arbitrary depths
+    return rng.choice([-0.0, 0.0, 1.0, round(rng.uniform(0.0, 1.0), 3), rng.random()])
+
+
+def _any_bbox(rng: random.Random) -> BBox:
+    # off the 3-decimal grid too, and small enough to miss every pixel
+    # centre on a coarse grid now and then
+    w = 0.01 if rng.random() < 0.05 else rng.uniform(0.05, 0.6)
+    h = 0.01 if rng.random() < 0.05 else rng.uniform(0.05, 0.6)
+    return BBox(rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h), w, h)
+
+
+def _proposal(rng: random.Random, current):
+    """A proposal that drops, moves, re-depths, re-faces, renames and adds."""
+    objects = []
+    for o in current.objects:
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        if roll < 0.2:
+            o = o.replace(name=rng.choice(NOUN_POOL) + " x")
+        if rng.random() < 0.5:
+            o = o.replace(bbox=_any_bbox(rng))
+        if rng.random() < 0.5:
+            o = o.replace(depth=_edge_depth(rng))
+        if rng.random() < 0.2:
+            o = o.replace(facing=rng.choice(FACING_POOL))
+        if rng.random() < 0.2:
+            o = o.replace(attributes=tuple(rng.sample(ATTR_POOL, rng.randrange(3))))
+        objects.append(o)
+    next_id = current.max_object_id() + 1
+    for oid in range(next_id, next_id + rng.randrange(3)):
+        objects.append(SceneObject(rng.choice(NOUN_POOL), (), oid, _any_bbox(rng), _edge_depth(rng)))
+    rng.shuffle(objects)
+    return current.with_objects(objects)
+
+
+def _actions(rng: random.Random, current):
+    """Diff-generated actions, sometimes followed by one the executor refuses."""
+    actions = diff_layouts(current, _proposal(rng, current))
+    if rng.random() < 0.2:
+        actions.append(rng.choice([
+            Deletion(99),
+            Reposition(99, _any_bbox(rng)),
+            Addition(obj("cup", oid=rng.choice([1, 2, 3]), depth=_edge_depth(rng))),
+        ]))
+    return actions
+
+
+def _bits(values: np.ndarray) -> list:
+    """Each float's bit pattern: -0.0 and 0.0 differ."""
+    return values.view(np.int64).tolist()
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared by type and message
+        return "raised", (type(exc), str(exc))
+
+
+class TestReferenceExecutor:
+    """Grid synthesis and the executor write the same bits and raise the
+    same errors as the reference in ``helpers``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.tuples(st.integers(8, 64), st.integers(8, 64)),
+        background=st.sampled_from([0.05, 0.0, -0.0, 0.5]),
+    )
+    def test_matches_the_reference_bit_for_bit(self, seed, size, background):
+        rng = random.Random(seed)
+        base = random_layout(rng)
+        current = base.with_objects(
+            o.replace(bbox=_any_bbox(rng), depth=_edge_depth(rng)) if rng.random() < 0.5 else o
+            for o in base.objects
+        )
+        w, h = size
+        want = _outcome(reference_scene_from_layout, current, w, h, background)
+        got = _outcome(scene_from_layout, current, w, h, background)
+        assert got[0] == want[0]
+        if want[0] == "raised":
+            assert got == want
+            return
+        scene = want[1]
+        assert _bits(got[1].depth.values) == _bits(scene.depth.values)
+        if rng.random() < 0.5:
+            # a background that is no single value, so the median of the
+            # strips around a backfilled box is not just that value, and
+            # patches with a texture too faint for a repaint, so a move
+            # resamples distinct pixels
+            noise = np.random.default_rng(seed).random((h, w))
+            grid = np.where(noise < 0.2, np.where(noise < 0.1, -0.0, 0.0), np.round(noise, 1))
+            for o in current.objects:
+                c0, c1, r0, r1 = grid_bounds(w, h, o.bbox)
+                texture = noise[r0 : r1 + 1, c0 : c1 + 1] * 1e-4
+                grid[r0 : r1 + 1, c0 : c1 + 1] = np.clip(o.depth + texture, 0.0, 1.0)
+            scene = SymbolicScene(current, DepthMap(grid))
+        actions = _actions(rng, current)
+        want = _outcome(reference_apply_actions, scene, actions)
+        got = _outcome(apply_actions, scene, actions)
+        assert got[0] == want[0]
+        if want[0] == "raised":
+            assert got == want
+            return
+        assert exact_objects(got[1].layout) == exact_objects(want[1].layout)
+        assert _bits(got[1].depth.values) == _bits(want[1].depth.values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_rects(), st.booleans())
+    def test_background_fill_matches_the_reference_bit_for_bit(self, case, signed_zeros):
+        arr, bounds = case
+        if signed_zeros:  # equal -0.0 and 0.0 among the strip values
+            arr = np.where(arr < 0.3, np.where(arr < 0.15, -0.0, 0.0), arr)
+        got, want = arr.copy(), arr.copy()
+        _background_fill(got, bounds)
+        reference_background_fill(want, bounds)
+        assert _bits(got) == _bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_rects(), st.integers(1, 64), st.integers(1, 64))
+    def test_resample_matches_the_reference(self, case, rows, cols):
+        arr, (c0, c1, r0, r1) = case
+        patch = arr[r0 : r1 + 1, c0 : c1 + 1]
+        got = _nn_resample(patch, rows, cols)
+        assert got.shape == (rows, cols)
+        assert _bits(got) == _bits(reference_nn_resample(patch, rows, cols))
