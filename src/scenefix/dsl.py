@@ -323,7 +323,10 @@ class _Builder:
         # (anchor noun, segment offset) of each object-anchored perspective
         self.anchors: list[tuple[str, int]] = []
 
-    def mention(self, noun: str, attrs: tuple[str, ...]) -> str:
+    def mention(self, noun: str, attrs: tuple[str, ...], offset: int) -> str:
+        if noun == FRAME:
+            # the reserved relatum of a midline clause, never an object
+            raise ExpressionParseError(f"{FRAME!r} names the image frame, not an object", offset)
         if noun not in self.attrs:
             self.order.append(noun)
             self.attrs[noun] = list(attrs)
@@ -412,7 +415,7 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
         m = _FACING_RE.match(segment)
     if m is not None:
         noun, attrs = _parse_np(m.group("subject"), offset)
-        b.mention(noun, attrs)
+        b.mention(noun, attrs, offset)
         b.facings.append(FacingAssertion(noun, _parse_facing_phrase(m.group("dir"), offset)))
         return
 
@@ -430,9 +433,9 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
         perspective = _parse_perspective(m.group("persp"), offset)
         if isinstance(perspective, Intrinsic):
             b.anchors.append((perspective.relatum, offset))
-        b.mention(target, t_attrs)
+        b.mention(target, t_attrs, offset)
         if relatum != FRAME:
-            b.mention(relatum, r_attrs)
+            b.mention(relatum, r_attrs, offset)
         elif r_attrs:
             # "the red frame" could be an object or the image frame
             raise ExpressionParseError(f"the frame takes no attributes: {segment!r}", offset)
@@ -449,7 +452,7 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
                 f"unary positional clause cannot take an object perspective: {segment!r}", offset
             )
         target, t_attrs = _parse_np(m.group("target"), offset)
-        b.mention(target, t_attrs)
+        b.mention(target, t_attrs, offset)
         b.relations.append(RelationClause(target, _relation(m.group("rel")), FRAME, CAMERA))
         return
 
@@ -460,7 +463,7 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
         raise ExpressionParseError(f"cannot parse segment {segment!r}", offset) from None
     if noun.split()[0] in ("facing",):
         raise ExpressionParseError(f"cannot parse segment {segment!r}", offset)
-    b.mention(noun, attrs)
+    b.mention(noun, attrs, offset)
 
 
 # --------------------------------------------------------------------------

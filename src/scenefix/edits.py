@@ -115,7 +115,7 @@ def scene_from_layout(
     for obj in layout.objects:
         c0, c1, r0, r1 = grid_bounds(width, height, obj.bbox)
         arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
-    return SymbolicScene(layout=layout, depth=DepthMap(arr))
+    return SymbolicScene(layout=layout, depth=DepthMap.adopt(arr))
 
 
 def _shift_depth(values: np.ndarray, current: float, target: float) -> np.ndarray:
@@ -131,7 +131,7 @@ def apply_depth_formula(
     cols = np.fromiter((c for c, _ in mask), dtype=np.intp, count=len(mask))
     rows = np.fromiter((r for _, r in mask), dtype=np.intp, count=len(mask))
     arr[rows, cols] = _shift_depth(arr[rows, cols], current, target)
-    return DepthMap(arr)
+    return DepthMap.adopt(arr)
 
 
 # --------------------------------------------------------------------------
@@ -329,5 +329,5 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
         _restore_consistency(arr, objects)
 
     return SymbolicScene(
-        layout=scene.layout.with_objects(tuple(objects)), depth=DepthMap(arr)
+        layout=scene.layout.with_objects(tuple(objects)), depth=DepthMap.adopt(arr)
     )

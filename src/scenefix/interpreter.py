@@ -19,7 +19,7 @@ layout in a fixed priority order:
 6. the same for front/back clauses on depths, at the window's midpoint.
 
 Objects named in no clause on an axis never move on it. A proposal for
-an already-satisfied layout is the layout itself, and every accepted
+a ``settled`` layout is the layout itself, and every accepted
 proposal passes the evaluator; a cycle in an axis's order, or a
 placement that fails, raises UnsatisfiableError.
 
@@ -53,7 +53,14 @@ from .errors import (
     UnsatisfiableError,
     WireFormatError,
 )
-from .evaluate import eval_frame_relation, eval_relation, evaluate, find_matching, mention_matches
+from .evaluate import (
+    EvaluationResult,
+    eval_frame_relation,
+    eval_relation,
+    evaluate,
+    find_matching,
+    mention_matches,
+)
 from .scene import BBox, FacingDirection, Relation, SceneLayout, SceneObject, bbox_iou, swap_extents
 
 DEFAULT_ADDITION_SIZE = 0.25
@@ -321,6 +328,23 @@ def _repair_axis(work: _Work, constraints, horizontal: bool) -> None:
         # no room for the targets alone; when every object on the axis has
         # no room either, the final evaluation reports the clause set
         _place(work, axis, order, {n for n in order if n is not None}, horizontal)
+
+
+def settled(expr: SpatialExpression, layout: SceneLayout, verdict: EvaluationResult) -> bool:
+    """Whether the solver would return ``layout`` itself, with no rationale.
+
+    ``verdict`` is ``evaluate(expr, layout)``. A correct verdict leaves no
+    addition, attribute, facing or clause to repair, because ``evaluate``
+    and ``convert_expression`` read each clause the same way; what it does
+    not rule out are the deletions, so every object must also be mentioned,
+    once, and match no negated noun.
+    """
+    if not verdict.correct:
+        return False
+    names = [o.name for o in layout.objects]
+    if len(set(names)) != len(names) or not {m.name for m in expr.mentions}.issuperset(names):
+        return False
+    return not any(_matches_negation(o, n) for n in expr.negations for o in layout.objects)
 
 
 def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutProposal:

@@ -6,10 +6,13 @@ intrinsic clauses into the camera frame, asks the configured solver for a
 revised layout, applies the diff to the scene, and evaluates the result
 through a fresh perception pass. At zero noise a round starts from the
 layout the last round boundary perceived instead of perceiving the same
-scene again, because that pass would return the same layout. A round's
-SceneFixError (an unsatisfiable clause set, a protocol violation, an
-impossible edit) marks that sample as errored and counts as incorrect
-without stopping the batch.
+scene again, because that pass would return the same layout. The builtin
+solver is asked only on a misaligned round: when the perceived layout is
+settled (see ``interpreter.settled``) the round makes no edit, since the
+solver would return that layout itself. An external interpreter is asked
+on every round. A round's SceneFixError (an unsatisfiable clause set, a
+protocol violation, an impossible edit) marks that sample as errored and
+counts as incorrect without stopping the batch.
 
 Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
@@ -45,7 +48,7 @@ from .edits import (
 )
 from .errors import SceneFixError
 from .evaluate import EvaluationResult, categorize_run, evaluate
-from .interpreter import make_interpreter, suggest_layout
+from .interpreter import make_interpreter, settled, suggest_layout
 from .perception import ZERO_NOISE, PerceptionConfig, derive_seed, perceive
 from .rules import convert_expression
 from .scene import SceneLayout
@@ -110,12 +113,16 @@ def run_round(
     round_index: int,
     session=None,
     perceived: SceneLayout | None = None,
+    verdict: EvaluationResult | None = None,
 ):
     """One correction round; returns (new scene, evaluation, actions, checked layout).
 
-    ``perceived`` is the scene as the last round boundary perceived it;
-    without it the round perceives the scene itself. ``run_sample`` passes
-    it only at zero noise, where a fresh pass would return the same layout.
+    ``perceived`` is the scene as the last round boundary perceived it, and
+    ``verdict`` its evaluation; without them the round perceives the scene
+    itself. ``run_sample`` passes them only at zero noise, where a fresh
+    pass would return the same layout. The builtin solver is asked only
+    when the perceived layout is not ``settled``: otherwise it would return
+    that layout unchanged, so the round has no actions.
     """
     expr = sample.annotation
     if perceived is None:
@@ -123,13 +130,16 @@ def run_round(
             scene, expr.mentions, cfg.perception,
             seed=derive_seed(cfg.seed, sample.id, round_index, "in"),
         )
-    if cfg.solver == "builtin":
-        proposal = suggest_layout(convert_expression(expr, perceived), perceived)
-    else:
+    if cfg.solver == "external":
         proposal = session.request(
             sample.prompt, serialize_wire_layout(perceived), round_index, annotation=expr
         )
-    actions = diff_layouts(perceived, proposal.layout)
+        actions = diff_layouts(perceived, proposal.layout)
+    elif settled(expr, perceived, evaluate(expr, perceived) if verdict is None else verdict):
+        actions = []
+    else:
+        proposal = suggest_layout(convert_expression(expr, perceived), perceived)
+        actions = diff_layouts(perceived, proposal.layout)
     new_scene = apply_actions(scene, actions) if actions else scene
     checked = perceive(
         new_scene, expr.mentions, cfg.perception,
@@ -148,9 +158,10 @@ def run_sample(sample: BenchmarkSample, cfg: RunConfig, session=None) -> SampleT
     carry = cfg.perception.noiseless
     error = None
     for round_index in range(1, cfg.rounds + 1):
+        carried = (checked, outcomes[-1].result) if carry else (None, None)
         try:
             scene, result, actions, checked = run_round(
-                sample, scene, cfg, round_index, session, checked if carry else None
+                sample, scene, cfg, round_index, session, *carried
             )
         except SceneFixError as exc:
             error = f"{type(exc).__name__}: {exc}"

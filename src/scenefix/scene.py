@@ -177,18 +177,16 @@ class DepthMap:
     def __post_init__(self):
         import numpy as np  # on first use: numpy costs most of the package's import time
 
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"depth map must be a non-empty 2-d grid, got shape {arr.shape}")
-        # NaN and +-inf fail this range test too; only then is it worth
-        # telling the two faults apart. ``arr.min()``/``arr.max()`` reach
-        # these reductions through numpy's Python-level ``_methods``
-        if not (np.minimum.reduce(arr, None) >= 0.0 and np.maximum.reduce(arr, None) <= 1.0):
-            if not np.isfinite(arr).all():
-                raise ValueError("depth map contains non-finite values")
-            raise ValueError("depth values must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        # a private copy: the caller may write to ``values`` afterwards
+        object.__setattr__(self, "values", _checked_grid(np.array(self.values, dtype=np.float64)))
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> DepthMap:
+        """A map over ``arr`` itself, a fresh float64 grid its caller hands
+        over: the same checks, and ``arr`` becomes read-only, but no copy."""
+        depth = object.__new__(cls)
+        object.__setattr__(depth, "values", _checked_grid(arr))
+        return depth
 
     @property
     def height(self) -> int:
@@ -197,6 +195,23 @@ class DepthMap:
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+
+def _checked_grid(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only, once it is a non-empty 2-d grid of values in [0, 1]."""
+    import numpy as np
+
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"depth map must be a non-empty 2-d grid, got shape {arr.shape}")
+    # NaN and +-inf fail this range test too; only then is it worth
+    # telling the two faults apart. ``arr.min()``/``arr.max()`` reach
+    # these reductions through numpy's Python-level ``_methods``
+    if not (np.minimum.reduce(arr, None) >= 0.0 and np.maximum.reduce(arr, None) <= 1.0):
+        if not np.isfinite(arr).all():
+            raise ValueError("depth map contains non-finite values")
+        raise ValueError("depth values must lie in [0, 1]")
+    arr.setflags(write=False)
+    return arr
 
 
 def rect_bounds(depth: DepthMap, b: BBox) -> tuple[int, int, int, int]:

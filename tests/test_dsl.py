@@ -120,6 +120,22 @@ class TestParseExamples:
             parse_expression(text)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("A frame. A dog is to the left of the frame.", 0),
+            ("A dog. The frame is to the left of a dog.", 6),
+            ("A cat is to the left of a dog and the frame is on the left.", 34),
+            ("A cat. The frame is facing left.", 6),
+            ("A cat is to the right of a frame and a red frame.", 37),
+            ("An oil painting of a frame.", 19),
+        ],
+    )
+    def test_frame_mention_refused(self, text, offset):
+        with pytest.raises(ExpressionParseError, match="names the image frame") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
     def test_parse_error_carries_offset(self):
         with pytest.raises(ExpressionParseError) as err:
             parse_expression("a cat and @@@@")

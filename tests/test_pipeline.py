@@ -21,6 +21,7 @@ from scenefix import (
     SceneLayout,
     SceneObject,
     apply_corruption,
+    evaluate,
     generate_for_lmd,
     generate_forest_style,
     parse_expression,
@@ -175,6 +176,53 @@ class TestSingleSample:
             assert trajectory.error is None, trajectory.error
             assert len(calls) == (2 * rounds + 1 if noisy else rounds + 1)
             assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("generate", [generate_for_lmd, generate_forest_style])
+    def test_solver_is_asked_once_per_sample_wrong_at_round_0(self, monkeypatch, generate):
+        """At zero noise a round whose starting layout satisfies the prompt
+        never reaches the builtin solver."""
+        calls = []
+        original = pipeline.suggest_layout
+
+        def counting(expr, layout):
+            calls.append(layout)
+            return original(expr, layout)
+
+        monkeypatch.setattr(pipeline, "suggest_layout", counting)
+        cfg = RunConfig(dataset_path="unused", rounds=1)
+        samples, _ = apply_corruption(generate(40, seed=78), fraction=0.8, seed=78)
+        wrong = 0
+        for sample in samples:
+            calls.clear()
+            trajectory = run_sample(sample, cfg)
+            assert trajectory.error is None, trajectory.error
+            wrong += not trajectory.correct_at(0)
+            assert len(calls) == (0 if trajectory.correct_at(0) else 1)
+        assert wrong == 32
+
+    def test_noisy_rounds_ask_the_solver_only_about_failing_layouts(self, monkeypatch):
+        received = []
+        original = pipeline.suggest_layout
+
+        def recording(expr, layout):
+            received.append(layout)
+            return original(expr, layout)
+
+        monkeypatch.setattr(pipeline, "suggest_layout", recording)
+        noise = PerceptionConfig(
+            bbox_jitter_sigma=0.02, depth_sigma=0.02, facing_flip_rate=0.05,
+            dropout_rate=0.05, duplicate_rate=0.05,
+        )
+        cfg = RunConfig(dataset_path="unused", rounds=3, perception=noise)
+        samples, _ = apply_corruption(generate_for_lmd(40, seed=78), fraction=0.8, seed=78)
+        asked = 0
+        for sample in samples:
+            received.clear()
+            run_sample(sample, cfg)
+            assert all(not evaluate(sample.annotation, layout).correct for layout in received)
+            asked += len(received)
+        # most noisy rounds start from a layout that already satisfies the prompt
+        assert 0 < asked < len(samples) * cfg.rounds
 
     def test_rounds_zero_is_pure_evaluation(self):
         sample = generate_for_lmd(1, seed=5)[0]

@@ -19,11 +19,14 @@ from scenefix import (
     EmptyRegionError,
     FacingDirection,
     Relation,
+    Reposition,
     SceneLayout,
     SceneObject,
     angle_to_facing,
+    apply_actions,
     box_depth,
     object_depth,
+    scene_from_layout,
 )
 from scenefix.scene import bbox_iou, bucket_center, rect_bounds, rect_mask
 
@@ -189,6 +192,32 @@ class TestDepthMap:
         with pytest.raises(ValueError) as exc:
             DepthMap(np.zeros(4))
         assert str(exc.value) == "depth map must be a non-empty 2-d grid, got shape (4,)"
+
+    def test_adopted_array_is_kept_and_locked(self):
+        arr = np.full((4, 4), 0.5)
+        dm = DepthMap.adopt(arr)
+        assert dm.values is arr
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.1
+
+    @pytest.mark.parametrize(
+        "arr,message",
+        [
+            (np.zeros(4), "depth map must be a non-empty 2-d grid, got shape (4,)"),
+            (np.full((2, 2), np.inf), "depth map contains non-finite values"),
+            (np.full((2, 2), 1.5), "depth values must lie in [0, 1]"),
+        ],
+    )
+    def test_adopted_array_is_checked_like_a_copied_one(self, arr, message):
+        with pytest.raises(ValueError) as exc:
+            DepthMap.adopt(arr)
+        assert str(exc.value) == message
+
+    def test_edited_scene_owns_its_grid(self):
+        scene = scene_from_layout(layout(obj("cat", oid=1, x=0.1, y=0.1, w=0.4, h=0.4, depth=0.8)))
+        moved = apply_actions(scene, [Reposition(1, BBox(0.5, 0.5, 0.4, 0.4))])
+        assert not np.shares_memory(scene.depth.values, moved.depth.values)
+        assert not moved.depth.values.flags.writeable
 
     def test_list_input_and_bounds_accepted(self):
         dm = DepthMap([[0.0, 1.0], [0.5, 0.25]])
