@@ -6,13 +6,14 @@ intrinsic clauses into the camera frame, asks the configured solver for a
 revised layout, applies the diff to the scene, and evaluates the result
 through a fresh perception pass. At zero noise a round starts from the
 layout the last round boundary perceived instead of perceiving the same
-scene again, because that pass would return the same layout. The builtin
-solver is asked only on a misaligned round: when the perceived layout is
-settled (see ``interpreter.settled``) the round makes no edit, since the
-solver would return that layout itself. An external interpreter is asked
-on every round. A round's SceneFixError (an unsatisfiable clause set, a
-protocol violation, an impossible edit) marks that sample as errored and
-counts as incorrect without stopping the batch.
+scene again, because that pass would return the same layout. As in the
+paper's loop, the solver, builtin or external, is asked only on a
+misaligned round: when the perceived layout is settled (see
+``interpreter.settled``) the round makes no edit and sends no request,
+since the builtin solver would return that layout itself. A round's
+SceneFixError (an unsatisfiable clause set, a protocol violation, an
+impossible edit) marks that sample as errored and counts as incorrect
+without stopping the batch.
 
 Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
@@ -52,7 +53,9 @@ from .interpreter import make_interpreter, settled, suggest_layout
 from .perception import ZERO_NOISE, PerceptionConfig, derive_seed, perceive
 from .rules import convert_expression
 from .scene import SceneLayout
-from .wire import decode_dataset, read_dataset, read_lines, serialize_wire_layout, write_ndjson
+from .wire import (
+    decode_dataset, read_dataset, read_lines, restore_sent, serialize_wire_layout, write_ndjson,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -120,9 +123,11 @@ def run_round(
     ``perceived`` is the scene as the last round boundary perceived it, and
     ``verdict`` its evaluation; without them the round perceives the scene
     itself. ``run_sample`` passes them only at zero noise, where a fresh
-    pass would return the same layout. The builtin solver is asked only
-    when the perceived layout is not ``settled``: otherwise it would return
-    that layout unchanged, so the round has no actions.
+    pass would return the same layout. The solver, builtin or external, is
+    asked only when the perceived layout is not ``settled``: otherwise the
+    round has no actions and sends no request. An external reply is diffed
+    against what was sent (``wire.restore_sent``), so an object the
+    interpreter sends back unchanged is no edit.
     """
     expr = sample.annotation
     if perceived is None:
@@ -130,13 +135,13 @@ def run_round(
             scene, expr.mentions, cfg.perception,
             seed=derive_seed(cfg.seed, sample.id, round_index, "in"),
         )
-    if cfg.solver == "external":
+    if settled(expr, perceived, evaluate(expr, perceived) if verdict is None else verdict):
+        actions = []
+    elif cfg.solver == "external":
         proposal = session.request(
             sample.prompt, serialize_wire_layout(perceived), round_index, annotation=expr
         )
-        actions = diff_layouts(perceived, proposal.layout)
-    elif settled(expr, perceived, evaluate(expr, perceived) if verdict is None else verdict):
-        actions = []
+        actions = diff_layouts(perceived, restore_sent(perceived, proposal.layout))
     else:
         proposal = suggest_layout(convert_expression(expr, perceived), perceived)
         actions = diff_layouts(perceived, proposal.layout)

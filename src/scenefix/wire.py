@@ -92,15 +92,44 @@ def fmt_number(value: float) -> str:
     return text if text not in ("", "-0") else "0"
 
 
+def _bbox_text(bbox: BBox) -> str:
+    return ", ".join(fmt_number(v) for v in bbox.as_list())
+
+
 def _entry(obj: SceneObject) -> str:
     head = " ".join([*obj.attributes, obj.name]) + f" #{obj.object_id}"
-    bbox = ", ".join(fmt_number(v) for v in obj.bbox.as_list())
     facing = "None" if obj.facing is FacingDirection.NONE else f"'{obj.facing.value}'"
-    return f"('{head}', [{bbox}], {fmt_number(obj.depth)}, {facing})"
+    return f"('{head}', [{_bbox_text(obj.bbox)}], {fmt_number(obj.depth)}, {facing})"
 
 
 def serialize_wire_layout(layout: SceneLayout) -> str:
     return "[" + ", ".join(_entry(o) for o in layout.objects) + "]"
+
+
+def restore_sent(sent: SceneLayout, reply: SceneLayout) -> SceneLayout:
+    """``reply`` with each box and depth that prints as the one sent for the
+    same id put back to the sent value.
+
+    The wire keeps 3 decimals, so a value sent off that grid comes back
+    changed although the interpreter left it alone. Only a box or depth
+    that differs as a value is printed again.
+    """
+    by_id = {o.object_id: o for o in sent.objects}
+    objects = list(reply.objects)
+    restored = False
+    for i, new in enumerate(objects):
+        old = by_id.get(new.object_id)
+        if old is None:
+            continue
+        bbox_rounded = new.bbox != old.bbox and _bbox_text(new.bbox) == _bbox_text(old.bbox)
+        depth_rounded = new.depth != old.depth and fmt_number(new.depth) == fmt_number(old.depth)
+        if bbox_rounded or depth_rounded:
+            objects[i] = new.replace(
+                bbox=old.bbox if bbox_rounded else new.bbox,
+                depth=old.depth if depth_rounded else new.depth,
+            )
+            restored = True
+    return reply.with_objects(objects) if restored else reply
 
 
 def _name_and_attributes(words: list[str]) -> tuple[str, tuple[str, ...]]:

@@ -30,7 +30,7 @@ from scenefix import (
     serialize_wire_layout,
     suggest_layout,
 )
-from scenefix.benchgen import generate_for_lmd
+from scenefix.benchgen import apply_corruption, generate_for_lmd
 from scenefix.dsl import FRAME
 from scenefix.interpreter import (
     _MAX_RESPONSE_BYTES,
@@ -450,7 +450,9 @@ class TestRawEndpoint:
 
     def test_batch_completes_with_samples_errored(self, raw_endpoint, tmp_path):
         path = str(tmp_path / "dataset.ndjson")
-        write_dataset(path, generate_for_lmd(3, seed=78))
+        # every sample misaligned, so every sample is asked
+        samples, _ = apply_corruption(generate_for_lmd(3, seed=78), fraction=1.0, seed=78)
+        write_dataset(path, samples)
         report = run_batch(
             RunConfig(dataset_path=path, rounds=1, solver="external", endpoint=raw_endpoint)
         )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenefix import LayoutValidationError, ProtocolError, serialize_wire_layout
-from scenefix.benchgen import generate_for_lmd
+from scenefix.benchgen import apply_corruption, generate_for_lmd
 from scenefix.interpreter import SubprocessInterpreter, _parse_response_line, external_suggest
 from scenefix.pipeline import RunConfig, run_batch
 from scenefix.wire import write_dataset
@@ -38,7 +38,9 @@ def test_bad_reply_is_protocol_error_at_once(mode):
 @pytest.mark.parametrize("mode", BAD_REPLIES)
 def test_bad_reply_marks_samples_errored_without_aborting_the_batch(mode, tmp_path):
     path = str(tmp_path / "dataset.ndjson")
-    write_dataset(path, generate_for_lmd(3, seed=78))
+    # every sample misaligned, so every sample is asked
+    samples, _ = apply_corruption(generate_for_lmd(3, seed=78), fraction=1.0, seed=78)
+    write_dataset(path, samples)
     report = run_batch(
         RunConfig(
             dataset_path=path,

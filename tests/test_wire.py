@@ -27,12 +27,14 @@ from scenefix import (
     serialize_wire_layout,
     write_dataset,
 )
+from scenefix.edits import Reposition, diff_layouts
 from scenefix.wire import (
     annotation_from_json,
     annotation_to_json,
     fmt_number,
     load_layouts,
     read_ndjson,
+    restore_sent,
     sample_from_record,
     sample_to_record,
     write_ndjson,
@@ -144,6 +146,33 @@ class TestLayoutGrammar:
     def test_grid_layout_round_trips_field_identical(self, seed):
         lay = random_layout(random.Random(seed))
         assert parse_wire_layout(serialize_wire_layout(lay)) == lay
+
+
+class TestRestoreSent:
+    """An interpreter's reply is diffed against the wire text it was sent."""
+
+    # perceived values off the 3-decimal grid, as noisy perception gives them
+    SENT = layout(
+        obj("cat", oid=1, x=0.12345, y=0.2, depth=0.56789),
+        obj("dog", oid=2, x=0.6, depth=0.30004, attrs=("red",)),
+    )
+
+    def test_an_entry_sent_back_unchanged_is_no_edit(self):
+        reply = parse_wire_layout(serialize_wire_layout(self.SENT))
+        assert reply != self.SENT  # the wire rounded both objects
+        assert restore_sent(self.SENT, reply) == self.SENT
+        assert diff_layouts(self.SENT, restore_sent(self.SENT, reply)) == []
+
+    def test_an_entry_printed_one_step_off_is_a_reposition(self):
+        text = serialize_wire_layout(self.SENT)
+        assert "0.123, 0.2," in text
+        reply = parse_wire_layout(text.replace("0.123, 0.2,", "0.124, 0.2,"))
+        actions = diff_layouts(self.SENT, restore_sent(self.SENT, reply))
+        assert actions == [Reposition(1, BBox(0.124, 0.2, 0.2, 0.2))]
+
+    def test_a_new_id_or_a_value_that_prints_differently_is_kept(self):
+        reply = layout(obj("cat", oid=3, x=0.12345, y=0.2, depth=0.56789), obj("dog", oid=2))
+        assert restore_sent(self.SENT, reply) is reply
 
 
 class TestAnnotationJson:
