@@ -1,18 +1,19 @@
 """Edit actions over symbolic scenes: diffing layouts and executing edits.
 
-A SymbolicScene pairs an object layout with a per-pixel depth grid; the
-executor keeps the two views consistent.  Regions are rectangular pixel
-masks of the object boxes.  Scenes built by this package give each
-object its own uniform, non-overlapping depth patch, which is what makes
-the stored-depth-equals-mask-mean invariant hold tightly.
+A SymbolicScene pairs an object layout with a per-pixel depth grid.
+Scenes built by this package render the grid from the layout: each
+object is a uniform patch over its box's pixel rectangle, on a uniform
+background. The executor edits the layout and renders it again, so the
+two views never drift apart.
 
-Depth edits follow the pixel rule
+``apply_depth_formula`` states the paper's pixel rule for depth edits,
 
     d' = min(1, max(0, d - D + D'))
 
 where D is the object's current mean depth over its mask and D' the new
 target: the whole patch shifts by the commanded object-level delta and
-individual pixels clamp at the [0, 1] walls.
+individual pixels clamp at the [0, 1] walls. On a rendered, unoccluded
+patch it equals the re-rendered patch at D'.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     UnknownObjectError,
 )
 from .scene import (
+    DEFAULT_SCENE_SIZE,
     BBox,
     DepthMap,
     FacingDirection,
@@ -39,7 +41,6 @@ from .scene import (
 # Additions may overlap existing boxes at most this much.
 MAX_ADDITION_IOU = 0.5
 
-DEFAULT_SCENE_SIZE = 64
 DEFAULT_BACKGROUND_DEPTH = 0.05
 
 
@@ -98,10 +99,39 @@ def action_kind(action: EditAction) -> str:
     return type(action).__name__
 
 
-@dataclass(frozen=True)
 class SymbolicScene:
-    layout: SceneLayout
-    depth: DepthMap
+    """An object layout and the per-pixel depth grid it is seen through.
+
+    ``SymbolicScene(layout, depth)`` pairs a layout with a given grid.
+    :func:`scene_from_layout` builds one whose grid is rendered from the
+    layout the first time ``depth`` is read, and then kept. Such a scene
+    also knows its ``clear`` objects: those whose pixel rectangle no later
+    object in paint order overlaps, so that the mean over their box is
+    their stored depth. A given grid has no clear objects.
+    """
+
+    __slots__ = ("layout", "size", "background_depth", "clear", "_bounds", "_grid")
+
+    def __init__(
+        self, layout: SceneLayout, depth: DepthMap, background_depth: float = DEFAULT_BACKGROUND_DEPTH
+    ):
+        self.layout = layout
+        self.size = (depth.width, depth.height)
+        self.background_depth = background_depth
+        self.clear: frozenset[int] = frozenset()
+        self._bounds = None
+        self._grid = depth
+
+    @property
+    def depth(self) -> DepthMap:
+        if self._grid is None:
+            w, h = self.size
+            arr = np.empty((h, w))
+            arr.fill(self.background_depth)
+            for obj, (c0, c1, r0, r1) in zip(self.layout.objects, self._bounds):
+                arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
+            self._grid = DepthMap.adopt(arr)
+        return self._grid
 
 
 def scene_from_layout(
@@ -110,16 +140,32 @@ def scene_from_layout(
     height: int = DEFAULT_SCENE_SIZE,
     background_depth: float = DEFAULT_BACKGROUND_DEPTH,
 ) -> SymbolicScene:
-    """Synthesize a depth grid for a layout: uniform patches over background."""
-    arr = np.full((height, width), float(background_depth), dtype=np.float64)
-    for obj in layout.objects:
-        c0, c1, r0, r1 = grid_bounds(width, height, obj.bbox)
-        arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
-    return SymbolicScene(layout=layout, depth=DepthMap.adopt(arr))
+    """The scene a layout renders to: uniform patches over a background,
+    painted in layout order.
+
+    Every box's pixel bounds are taken here, so a box that covers no pixel
+    center raises EmptyRegionError from this call; the grid itself is
+    rendered on the first read of ``depth``.
+    """
+    background_depth = float(background_depth)
+    bounds = tuple(grid_bounds(width, height, obj.bbox) for obj in layout.objects)
+    if not 0.0 <= background_depth <= 1.0:
+        raise ValueError(f"background depth must lie in [0, 1], got {background_depth!r}")
+    clear = []
+    for i, (c0, c1, r0, r1) in enumerate(bounds):
+        for later_c0, later_c1, later_r0, later_r1 in bounds[i + 1 :]:
+            if c0 <= later_c1 and later_c0 <= c1 and r0 <= later_r1 and later_r0 <= r1:
+                break  # a later patch covers part of this one
+        else:
+            clear.append(layout.objects[i].object_id)
+    scene = SymbolicScene.__new__(SymbolicScene)
+    scene.layout, scene.size, scene.background_depth = layout, (width, height), background_depth
+    scene.clear, scene._bounds, scene._grid = frozenset(clear), bounds, None
+    return scene
 
 
 def _shift_depth(values: np.ndarray, current: float, target: float) -> np.ndarray:
-    """The paper's pixel rule d' = clip(d - D + D', 0, 1), for both callers."""
+    """The paper's pixel rule d' = clip(d - D + D', 0, 1)."""
     return np.clip(values - current + target, 0.0, 1.0)
 
 
@@ -194,91 +240,23 @@ def diff_layouts(current: SceneLayout, proposed: SceneLayout) -> list[EditAction
 # --------------------------------------------------------------------------
 # executing
 
-def _background_fill(arr: np.ndarray, bounds: tuple[int, int, int, int]) -> None:
-    """Backfill a rectangle with the median of the pixels outside it."""
-    c0, c1, r0, r1 = bounds
-    # the four strips around the rectangle hold exactly the outside pixels;
-    # a median does not depend on their order
-    outside = np.concatenate(
-        (
-            arr[:r0].ravel(),
-            arr[r1 + 1 :].ravel(),
-            arr[r0 : r1 + 1, :c0].ravel(),
-            arr[r0 : r1 + 1, c1 + 1 :].ravel(),
-        )
-    )
-    # ``np.median`` without its Python wrappers, so the same float: the
-    # fresh array is partitioned in place at the middle (``np.median``
-    # also puts the largest value last to probe for NaN, which no depth
-    # grid holds), and the middle values go through the same reduction,
-    # which reads -0.0 as 0.0 whichever of two equal zeros lands there
-    n = outside.size
-    half = n // 2
-    if n % 2:
-        outside.partition(half)
-        fill = float(np.add.reduce(outside[half : half + 1]))
-    elif n:
-        outside.partition((half - 1, half))
-        fill = float(np.add.reduce(outside[half - 1 : half + 1])) / 2
-    else:
-        fill = 0.0
-    arr[r0 : r1 + 1, c0 : c1 + 1] = fill
-
-
-def _nn_resample(patch: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    src_r = np.minimum(((np.arange(rows) + 0.5) * patch.shape[0] / rows).astype(np.intp), patch.shape[0] - 1)
-    src_c = np.minimum(((np.arange(cols) + 0.5) * patch.shape[1] / cols).astype(np.intp), patch.shape[1] - 1)
-    return patch.take(src_r, 0).take(src_c, 1)
-
-
-def _move_patch(arr: np.ndarray, old: BBox, new: BBox) -> None:
-    h, w = arr.shape
-    c0, c1, r0, r1 = ob = grid_bounds(w, h, old)
-    nc0, nc1, nr0, nr1 = grid_bounds(w, h, new)
-    patch = arr[r0 : r1 + 1, c0 : c1 + 1].copy()
-    _background_fill(arr, ob)
-    arr[nr0 : nr1 + 1, nc0 : nc1 + 1] = _nn_resample(patch, nr1 - nr0 + 1, nc1 - nc0 + 1)
-
-
-def _restore_consistency(arr: np.ndarray, objects: list[SceneObject]) -> None:
-    """Repaint any object whose mask mean drifted from its stored depth.
-
-    A move or backfill can write through a region another object still
-    occupies (two repositions that exchange extents overlap transiently).
-    Repainting in layout order converges once the boxes are disjoint again;
-    the pass cap keeps genuinely overlapping layouts from ping-ponging.
-    """
-    h, w = arr.shape
-    regions = []
-    for obj in objects:
-        c0, c1, r0, r1 = grid_bounds(w, h, obj.bbox)
-        regions.append((arr[r0 : r1 + 1, c0 : c1 + 1], (r1 - r0 + 1) * (c1 - c0 + 1), obj.depth))
-    for _ in range(3):
-        clean = True
-        for region, size, depth in regions:
-            # ``region.sum()`` reaches this reduction through numpy's
-            # Python-level ``_methods._sum``: the same float
-            if abs(float(np.add.reduce(region, None)) / size - depth) > 1e-3:
-                region[:] = depth
-                clean = False
-        if clean:
-            return
-
-
 def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
-    """Execute actions in order, returning the edited scene.
+    """Execute actions in order on the scene's objects, then render the result.
 
-    Raises UnknownObjectError for edits addressing absent ids,
-    DuplicateIdError when an addition reuses a live id, and
+    As the paper edits an object's latent and generates the image again,
+    the executor edits objects, never pixels: it returns
+    ``scene_from_layout`` of the edited layout at the scene's own size and
+    background depth. Raises UnknownObjectError for edits addressing absent
+    ids, DuplicateIdError when an addition reuses a live id,
     OverlapCollisionError when an added box overlaps an existing one by
-    more than 50% IoU.  An empty action list returns an equal scene.
+    more than 50% IoU, and EmptyRegionError at the first action whose box
+    covers no pixel center.  An empty action list returns the scene itself.
     """
     actions = list(actions)
     if not actions:
         return scene
 
-    arr = np.array(scene.depth.values, copy=True)
-    h, w = arr.shape
+    w, h = scene.size
     objects: list[SceneObject] = list(scene.layout.objects)
 
     def index_of(object_id: int) -> int:
@@ -289,9 +267,7 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
 
     for action in actions:
         if isinstance(action, Deletion):
-            i = index_of(action.object_id)
-            _background_fill(arr, grid_bounds(w, h, objects[i].bbox))
-            del objects[i]
+            del objects[index_of(action.object_id)]
         elif isinstance(action, Addition):
             obj = action.obj
             if any(o.object_id == obj.object_id for o in objects):
@@ -301,12 +277,11 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
                 raise OverlapCollisionError(
                     f"new box for {obj.name!r} overlaps an existing object (IoU {worst:.2f})"
                 )
-            c0, c1, r0, r1 = grid_bounds(w, h, obj.bbox)
-            arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
+            grid_bounds(w, h, obj.bbox)  # a box the render cannot place fails here
             objects.append(obj)
         elif isinstance(action, Reposition):
             i = index_of(action.object_id)
-            _move_patch(arr, objects[i].bbox, action.new_bbox)
+            grid_bounds(w, h, action.new_bbox)
             objects[i] = objects[i].replace(bbox=action.new_bbox)
         elif isinstance(action, AttributeModify):
             i = index_of(action.object_id)
@@ -316,18 +291,12 @@ def apply_actions(scene: SymbolicScene, actions) -> SymbolicScene:
             objects[i] = objects[i].replace(facing=action.new_facing)
         elif isinstance(action, DepthModify):
             i = index_of(action.object_id)
-            obj = objects[i]
-            bbox = action.new_bbox or obj.bbox
-            if action.new_bbox is not None and action.new_bbox != obj.bbox:
-                _move_patch(arr, obj.bbox, action.new_bbox)
-            c0, c1, r0, r1 = grid_bounds(w, h, bbox)
-            patch = arr[r0 : r1 + 1, c0 : c1 + 1]
-            patch[...] = _shift_depth(patch, obj.depth, action.new_depth)
-            objects[i] = obj.replace(depth=action.new_depth, bbox=bbox)
+            bbox = action.new_bbox or objects[i].bbox
+            grid_bounds(w, h, bbox)
+            objects[i] = objects[i].replace(depth=action.new_depth, bbox=bbox)
         else:
             raise TypeError(f"unknown action {action!r}")
-        _restore_consistency(arr, objects)
 
-    return SymbolicScene(
-        layout=scene.layout.with_objects(tuple(objects)), depth=DepthMap.adopt(arr)
+    return scene_from_layout(
+        scene.layout.with_objects(objects), w, h, scene.background_depth
     )

@@ -2,11 +2,13 @@
 
 The perceiver answers attributed-name queries against the scene's object
 table, so it only ever reports objects the caller asked about. Depth is
-never copied from the stored field: it is recomputed as the mean of the
-scene's depth map over the perceived rectangle, which keeps the reported
-value honest even when the box was jittered. On a consistent scene with
-all noise rates at zero the output equals the scene layout restricted to
-the queried objects, field for field.
+read as the mean of the scene's depth map over the perceived rectangle,
+which keeps the reported value honest even when the box was jittered.
+An object the scene marks ``clear`` (no later patch covers it) read at
+its own box is the exception: that mean is its stored depth, which is
+taken without the grid. On a consistent scene with all noise rates at
+zero the output equals the scene layout restricted to the queried
+objects, field for field.
 
 Noise knobs, applied per object in a fixed order: detection dropout,
 box jitter, depth read noise, facing misreads (uniform over the other
@@ -140,6 +142,7 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
     depth_sigma = cfg.depth_sigma
     flip = cfg.facing_flip_rate
     duplicate = cfg.duplicate_rate
+    clear = scene.clear
     detected: list[SceneObject] = []
 
     for obj in scene.layout.objects:
@@ -158,7 +161,10 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
             if events is not None:
                 detail = f"{obj.bbox.as_list()} -> {bbox.as_list()}"
                 events.append(PerceptionEvent("bbox-jitter", obj.object_id, detail))
-        depth = _read_depth(scene, bbox, obj.depth)
+        if bbox is obj.bbox and obj.object_id in clear:
+            depth = obj.depth
+        else:
+            depth = _read_depth(scene, bbox, obj.depth)
         if depth_sigma > 0:
             noised = min(1.0, max(0.0, depth + rng.gauss(0.0, depth_sigma)))
             if events is not None:

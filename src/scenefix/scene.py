@@ -23,6 +23,9 @@ EPS_CLAMP = 1e-9
 
 DEFAULT_BACKGROUND = "A realistic image"
 
+# Width and height of the depth grid a scene renders to.
+DEFAULT_SCENE_SIZE = 64
+
 
 class Relation(Enum):
     """The four spatial relations understood by the expression grammar."""

@@ -43,10 +43,12 @@ from .errors import (
 from .scene import (
     BBox,
     DEFAULT_BACKGROUND,
+    DEFAULT_SCENE_SIZE,
     FacingDirection,
     Relation,
     SceneLayout,
     SceneObject,
+    grid_bounds,
 )
 
 _FACING_BY_LOWER = {f.value.lower(): f for f in FacingDirection}
@@ -323,6 +325,9 @@ def sample_from_record(record: dict, line: int = 0):
             annotation = annotation_from_json(record["annotation"])
         gold_layout = parse_wire_layout(record["gold_layout"], annotation.background)
         initial_layout = parse_wire_layout(record["initial_layout"], annotation.background)
+        # a box the loop cannot render fails its record, not the run
+        for obj in initial_layout.objects:
+            grid_bounds(DEFAULT_SCENE_SIZE, DEFAULT_SCENE_SIZE, obj.bbox)
     except SceneFixError as exc:
         raise DatasetError(str(exc), line=line) from exc
     if parsed is None:

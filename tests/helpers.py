@@ -195,8 +195,10 @@ def exact_objects(layout: SceneLayout) -> tuple:
 
 # The edit executor and grid synthesis as they stood before their kernels
 # called numpy's reductions directly: ``np.median``, ``np.ix_``,
-# ``ndarray.sum`` and bounds taken again on every repaint pass. The
-# executor must return exactly what these do, and raise the same errors.
+# ``ndarray.sum`` and bounds taken again on every repaint pass. Grid
+# synthesis must return exactly what its reference does; the executor,
+# which now renders the edited layout instead of patching the grid, must
+# edit the same objects and raise the same errors as this one.
 
 def reference_scene_from_layout(layout: SceneLayout, width: int, height: int, background_depth):
     import numpy as np

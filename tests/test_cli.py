@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from scenefix import benchgen, pipeline, read_dataset
+from scenefix import (
+    BBox, benchgen, parse_wire_layout, pipeline, read_dataset, serialize_wire_layout,
+)
 from scenefix.cli import main
 
 
@@ -188,6 +190,22 @@ class TestRun:
         out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert main(["run", "--dataset", str(out), "--rounds", "1"]) == 1
         assert "(line 2)" in capsys.readouterr().err
+
+    def test_sub_pixel_initial_box_exits_1_before_any_sample_runs(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "bench.ndjson"
+        main(["generate", "--n", "2", "--out", str(out)])
+        capsys.readouterr()
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        initial = parse_wire_layout(records[1]["initial_layout"])
+        first = initial.objects[0].replace(bbox=BBox(0.3, 0.521, 0.001, 0.001))
+        records[1]["initial_layout"] = serialize_wire_layout(
+            initial.with_objects((first, *initial.objects[1:]))
+        )
+        out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        monkeypatch.setattr(pipeline, "run_sample", _refuse)
+        assert main(["run", "--dataset", str(out), "--rounds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "covers no pixel center on a 64x64 grid (line 2)" in err
 
     def test_sub_pixel_replies_mark_samples_errored(self, tmp_path, capsys):
         data = str(tmp_path / "bench.ndjson")

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import scenefix.perception as perception
 from scenefix import (
     DepthModify,
+    EmptyRegionError,
     FacingDirection,
     ObjectMention,
     PerceptionConfig,
     Reposition,
+    SymbolicScene,
     apply_actions,
     perceive,
     perceive_with_log,
@@ -297,3 +299,33 @@ class TestReferenceDetector:
         assert [(e.kind, e.object_id, e.detail) for e in events] == [
             (e.kind, e.object_id, e.detail) for e in expected_events
         ]
+
+
+class TestUnoccludedRead:
+    """An object no later patch covers is read at its stored depth without
+    the grid; that is what averaging the rendered grid's pixels returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout_seed=st.integers(0, 2**32 - 1),
+        size=st.tuples(st.integers(8, 64), st.integers(8, 64)),
+        background=st.sampled_from([0.05, 0.0, -0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**64 - 1),
+        depth_sigma=st.sampled_from([0.0, 0.02, 0.3]),
+        queries=_QUERIES,
+    )
+    def test_equals_the_read_of_the_given_grid(
+        self, layout_seed, size, background, seed, depth_sigma, queries
+    ):
+        # overlapping boxes too: random_layout without an IoU cap
+        lay = random_layout(random.Random(layout_seed), max_objects=6)
+        w, h = size
+        try:
+            scene = scene_from_layout(lay, w, h, background)
+        except EmptyRegionError:
+            return
+        cfg = PerceptionConfig(depth_sigma=depth_sigma)
+        got = perceive(scene, queries, cfg, seed=seed)
+        grid = scene_from_layout(lay, w, h, background).depth
+        want = perceive(SymbolicScene(lay, grid), queries, cfg, seed=seed)
+        assert exact_objects(got) == exact_objects(want)

@@ -30,7 +30,7 @@ from scenefix import (
     run_sample,
     write_dataset,
 )
-from scenefix.edits import Addition
+from scenefix.edits import Addition, SymbolicScene
 from scenefix.interpreter import settled
 from scenefix.perception import ZERO_NOISE
 from scenefix.pipeline import build_report, write_report
@@ -100,6 +100,31 @@ class TestSingleSample:
             assert not trajectory.correct_at(0)
             assert trajectory.correct_at(1)
             assert trajectory.rounds[1].actions
+
+    def test_a_clean_round_renders_no_scene_whose_rectangles_are_disjoint(self, monkeypatch):
+        # perception takes an unoccluded object's stored depth, so only a
+        # scene where some patch covers another is ever rendered
+        perceived, grid_read = [], []
+        perceive, depth = pipeline.perceive, SymbolicScene.depth
+
+        def recording_perceive(scene, *args, **kwargs):
+            perceived.append(scene)
+            return perceive(scene, *args, **kwargs)
+
+        def recording_depth(scene):
+            grid_read.append(scene)
+            return depth.fget(scene)
+
+        monkeypatch.setattr(pipeline, "perceive", recording_perceive)
+        monkeypatch.setattr(SymbolicScene, "depth", property(recording_depth))
+        samples, _ = apply_corruption(generate_for_lmd(200, seed=78), fraction=0.8, seed=78)
+        cfg = RunConfig(dataset_path="unused", rounds=1)
+        for sample in samples:
+            assert run_sample(sample, cfg).error is None
+        disjoint = {id(s) for s in perceived if len(s.clear) == len(s.layout.objects)}
+        assert len(disjoint) > len(samples)
+        # no grid read, so no grid rendered
+        assert not disjoint & {id(s) for s in grid_read}
 
     def test_frame_relatum_adds_no_object(self):
         prompt = "A cat is to the left of the frame."

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenefix import (
@@ -292,7 +292,35 @@ def in_frame_boxes(draw):
     return BBox(x, y, w, h)
 
 
+@st.composite
+def grids_and_rects(draw):
+    """A depth grid of values in [0, 1] (ties likely when coarse) and the
+    inclusive bounds (c0, c1, r0, r1) of a rectangle on it, sometimes the
+    whole grid."""
+    h = draw(st.integers(min_value=1, max_value=64))
+    w = draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    arr = rng.random((h, w))
+    if draw(st.booleans()):
+        arr = np.round(arr, 1)
+    if draw(st.booleans()):
+        return arr, (0, w - 1, 0, h - 1)
+    c0 = draw(st.integers(min_value=0, max_value=w - 1))
+    c1 = draw(st.integers(min_value=c0, max_value=w - 1))
+    r0 = draw(st.integers(min_value=0, max_value=h - 1))
+    r1 = draw(st.integers(min_value=r0, max_value=h - 1))
+    return arr, (c0, c1, r0, r1)
+
+
 class TestBoxDepth:
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_rects())
+    def test_region_sum_over_size_is_the_mean_bitwise(self, case):
+        # box_depth divides the region's reduction by its size
+        arr, (c0, c1, r0, r1) = case
+        region = arr[r0 : r1 + 1, c0 : c1 + 1]
+        assert (float(region.sum()) / region.size).hex() == float(region.mean()).hex()
+
     @given(grids(), in_frame_boxes())
     def test_agrees_with_mask_mean(self, dm, box):
         try:

@@ -244,6 +244,20 @@ class TestDatasetFiles:
             read_dataset(str(path))
         assert err.value.line == 2
 
+    def test_sub_pixel_initial_box_is_dataset_error(self, tmp_path):
+        # a box that covers no pixel center of the rendered grid
+        good = sample_to_record(generate_for_lmd(1, seed=1)[0])
+        bad = sample_to_record(generate_for_lmd(1, seed=2)[0])
+        initial = parse_wire_layout(bad["initial_layout"])
+        first = initial.objects[0].replace(bbox=BBox(0.3, 0.521, 0.001, 0.001))
+        bad["initial_layout"] = serialize_wire_layout(initial.with_objects((first, *initial.objects[1:])))
+        path = tmp_path / "records.ndjson"
+        write_ndjson(str(path), [good, bad])
+        with pytest.raises(DatasetError) as err:
+            read_dataset(str(path))
+        assert err.value.line == 2
+        assert "covers no pixel center on a 64x64 grid" in str(err.value)
+
     def test_load_layout_overrides(self, tmp_path):
         path = tmp_path / "layouts.ndjson"
         lay = layout(obj("cat", oid=1, depth=0.5))
