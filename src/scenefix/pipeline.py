@@ -1,19 +1,18 @@
 """Run the perceive / interpret / plan / apply / evaluate loop over a dataset.
 
 Round 0 is a pure evaluation of each sample's initial scene as seen by
-the perceiver. Every later round perceives the current scene, rewrites
-intrinsic clauses into the camera frame, asks the configured solver for a
-revised layout, applies the diff to the scene, and evaluates the result
-through a fresh perception pass. At zero noise a round starts from the
-layout the last round boundary perceived instead of perceiving the same
-scene again, because that pass would return the same layout. As in the
-paper's loop, the solver, builtin or external, is asked only on a
-misaligned round: when the perceived layout is settled (see
-``interpreter.settled``) the round makes no edit and sends no request,
-since the builtin solver would return that layout itself. A round's
-SceneFixError (an unsatisfiable clause set, a protocol violation, an
-impossible edit) marks that sample as errored and counts as incorrect
-without stopping the batch.
+the perceiver. Every later round starts from the layout and verdict of
+the last round boundary, rewrites intrinsic clauses into the camera
+frame, asks the configured solver for a revised layout, applies the diff
+to the scene, and evaluates the result through a fresh perception pass,
+which the next round starts from. As in the paper's loop, each scene is
+perceived and evaluated once, whatever the noise, and the solver, builtin
+or external, is asked only on a misaligned round: when the perceived
+layout is settled (see ``interpreter.settled``) the round makes no edit
+and sends no request, since the builtin solver would return that layout
+itself. A round's SceneFixError (an unsatisfiable clause set, a protocol
+violation, an impossible edit) marks that sample as errored and counts as
+incorrect without stopping the batch.
 
 Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
@@ -114,28 +113,23 @@ def run_round(
     scene: SymbolicScene,
     cfg: RunConfig,
     round_index: int,
-    session=None,
-    perceived: SceneLayout | None = None,
-    verdict: EvaluationResult | None = None,
+    session,
+    perceived: SceneLayout,
+    verdict: EvaluationResult,
 ):
     """One correction round; returns (new scene, evaluation, actions, checked layout).
 
     ``perceived`` is the scene as the last round boundary perceived it, and
-    ``verdict`` its evaluation; without them the round perceives the scene
-    itself. ``run_sample`` passes them only at zero noise, where a fresh
-    pass would return the same layout. The solver, builtin or external, is
-    asked only when the perceived layout is not ``settled``: otherwise the
-    round has no actions and sends no request. An external reply is diffed
-    against what was sent (``wire.restore_sent``), so an object the
-    interpreter sends back unchanged is no edit.
+    ``verdict`` its evaluation: the round does not perceive its input again.
+    The solver, builtin or external, is asked only when the perceived layout
+    is not ``settled``: otherwise the round has no actions and sends no
+    request. An external reply is diffed against what was sent
+    (``wire.restore_sent``), so an object the interpreter sends back
+    unchanged is no edit. The checked layout is the new scene's perception,
+    which the next round starts from.
     """
     expr = sample.annotation
-    if perceived is None:
-        perceived = perceive(
-            scene, expr.mentions, cfg.perception,
-            seed=derive_seed(cfg.seed, sample.id, round_index, "in"),
-        )
-    if settled(expr, perceived, evaluate(expr, perceived) if verdict is None else verdict):
+    if settled(expr, perceived, verdict):
         actions = []
     elif cfg.solver == "external":
         proposal = session.request(
@@ -160,13 +154,11 @@ def run_sample(sample: BenchmarkSample, cfg: RunConfig, session=None) -> SampleT
         seed=derive_seed(cfg.seed, sample.id, 0, "out"),
     )
     outcomes = [RoundOutcome(0, evaluate(sample.annotation, checked))]
-    carry = cfg.perception.noiseless
     error = None
     for round_index in range(1, cfg.rounds + 1):
-        carried = (checked, outcomes[-1].result) if carry else (None, None)
         try:
             scene, result, actions, checked = run_round(
-                sample, scene, cfg, round_index, session, *carried
+                sample, scene, cfg, round_index, session, checked, outcomes[-1].result
             )
         except SceneFixError as exc:
             error = f"{type(exc).__name__}: {exc}"

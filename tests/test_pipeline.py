@@ -28,11 +28,12 @@ from scenefix import (
     read_dataset,
     run_batch,
     run_sample,
+    serialize_wire_layout,
     write_dataset,
 )
 from scenefix.edits import Addition, SymbolicScene
 from scenefix.interpreter import settled
-from scenefix.perception import ZERO_NOISE
+from scenefix.perception import ZERO_NOISE, derive_seed
 from scenefix.pipeline import build_report, write_report
 from scenefix.wire import sample_from_record, sample_to_record
 
@@ -78,6 +79,57 @@ class TestConfigValidation:
             RunConfig(
                 dataset_path="x", solver="external", endpoint="cmd", workers=2
             )
+
+
+# the three knobs that perturb values, not which objects are seen
+VALUE_NOISE = PerceptionConfig(bbox_jitter_sigma=0.02, depth_sigma=0.02, facing_flip_rate=0.05)
+# and the two that change which objects are seen, which can error a sample
+FIVE_KNOB_NOISE = replace(VALUE_NOISE, dropout_rate=0.05, duplicate_rate=0.05)
+
+
+def _count_passes(monkeypatch):
+    """Wrap ``pipeline.perceive`` and ``pipeline.evaluate``; returns the
+    lists that get each pass's seed and one entry per evaluation."""
+    passes, verdicts = [], []
+    perceive, evaluate_ = pipeline.perceive, pipeline.evaluate
+
+    def counting_perceive(*args, **kwargs):
+        passes.append(kwargs["seed"])
+        return perceive(*args, **kwargs)
+
+    def counting_evaluate(expr, layout):
+        verdicts.append(layout)
+        return evaluate_(expr, layout)
+
+    monkeypatch.setattr(pipeline, "perceive", counting_perceive)
+    monkeypatch.setattr(pipeline, "evaluate", counting_evaluate)
+    return passes, verdicts
+
+
+def _record_boundaries(monkeypatch):
+    """Wrap ``pipeline.perceive`` and ``pipeline.run_round``; returns a
+    function that gives, inside a round, the layout the previous round
+    boundary perceived (round 0's pass in round 1)."""
+    layouts, current = {}, {}
+    perceive, run_round = pipeline.perceive, pipeline.run_round
+
+    def recording_perceive(*args, seed, **kwargs):
+        layouts[seed] = perceive(*args, seed=seed, **kwargs)
+        return layouts[seed]
+
+    def recording_round(sample, scene, cfg, round_index, *args):
+        current.update(sample=sample, cfg=cfg, round_index=round_index)
+        return run_round(sample, scene, cfg, round_index, *args)
+
+    def boundary():
+        seed = derive_seed(
+            current["cfg"].seed, current["sample"].id, current["round_index"] - 1, "out"
+        )
+        return layouts[seed]
+
+    monkeypatch.setattr(pipeline, "perceive", recording_perceive)
+    monkeypatch.setattr(pipeline, "run_round", recording_round)
+    return boundary
 
 
 class TestSingleSample:
@@ -183,26 +235,53 @@ class TestSingleSample:
     @pytest.mark.parametrize("rounds", [1, 3])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_perception_passes_per_sample(self, monkeypatch, rounds, noisy):
-        """At zero noise a round starts from the last boundary's perception,
-        so a sample perceives once per boundary; with noise every round
-        perceives its input again."""
-        calls = []
-        original = pipeline.perceive
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "perceive", counting)
+        """A round starts from the last boundary's perception and verdict,
+        so a sample perceives and evaluates once per boundary, whatever the
+        noise."""
+        passes, verdicts = _count_passes(monkeypatch)
         perception = PerceptionConfig(bbox_jitter_sigma=0.01) if noisy else ZERO_NOISE
         cfg = RunConfig(dataset_path="unused", rounds=rounds, perception=perception)
         samples, _ = apply_corruption(generate_for_lmd(10, seed=78), fraction=0.8, seed=78)
         for sample in samples:
-            calls.clear()
+            passes.clear()
+            verdicts.clear()
             trajectory = run_sample(sample, cfg)
             assert trajectory.error is None, trajectory.error
-            assert len(calls) == (2 * rounds + 1 if noisy else rounds + 1)
-            assert len(set(calls)) == len(calls)
+            assert len(passes) == len(set(passes)) == rounds + 1
+            assert len(verdicts) == len(passes)
+
+    def test_an_errored_sample_perceives_once_per_recorded_round(self, monkeypatch):
+        """Dropout and duplicates can error a round before its boundary
+        pass, so only the rounds a trajectory records are perceived."""
+        passes, verdicts = _count_passes(monkeypatch)
+        cfg = RunConfig(dataset_path="unused", rounds=3, perception=FIVE_KNOB_NOISE, seed=78)
+        samples, _ = apply_corruption(generate_for_lmd(40, seed=78), fraction=0.8, seed=78)
+        errored = 0
+        for sample in samples:
+            passes.clear()
+            verdicts.clear()
+            trajectory = run_sample(sample, cfg)
+            errored += trajectory.error is not None
+            assert len(passes) == len(set(passes)) == len(trajectory.rounds)
+            assert len(verdicts) == len(passes)
+        assert errored
+
+    def test_a_round_solves_the_layout_its_boundary_perceived(self, monkeypatch):
+        solved = []
+        boundary = _record_boundaries(monkeypatch)
+        original = pipeline.suggest_layout
+
+        def recording(expr, layout):
+            assert layout is boundary()
+            solved.append(layout)
+            return original(expr, layout)
+
+        monkeypatch.setattr(pipeline, "suggest_layout", recording)
+        cfg = RunConfig(dataset_path="unused", rounds=3, perception=VALUE_NOISE, seed=78)
+        samples, _ = apply_corruption(generate_for_lmd(40, seed=78), fraction=0.8, seed=78)
+        for sample in samples:
+            assert run_sample(sample, cfg).error is None
+        assert len(solved) > 32
 
     @pytest.mark.parametrize("generate", [generate_for_lmd, generate_forest_style])
     def test_solver_is_asked_once_per_sample_wrong_at_round_0(self, monkeypatch, generate):
@@ -459,10 +538,6 @@ class TestNoisyRuns:
         assert report.accuracy[0] < 1.0
 
 
-# the three knobs that perturb values, not which objects are seen
-VALUE_NOISE = PerceptionConfig(bbox_jitter_sigma=0.02, depth_sigma=0.02, facing_flip_rate=0.05)
-
-
 def _record_requests(monkeypatch):
     """Wrap ``pipeline.make_interpreter``; returns the list that gets one
     (prompt, annotation, perceived layout) per request the loop sends."""
@@ -579,6 +654,31 @@ class TestExternalSolver:
         assert len(sent) >= len(wrong)
         for _, expr, perceived in sent:
             assert not settled(expr, perceived, evaluate(expr, perceived))
+
+    def test_a_round_sends_the_layout_its_boundary_perceived(self, corrupted_dataset, monkeypatch):
+        path, _ = corrupted_dataset
+        boundary = _record_boundaries(monkeypatch)
+        rounds, make = [], pipeline.make_interpreter
+
+        def recording_make(endpoint, *args, **kwargs):
+            session = make(endpoint, *args, **kwargs)
+            request = session.request
+
+            def recorded(prompt, layout_wire, round_index, annotation=None):
+                assert layout_wire == serialize_wire_layout(boundary())
+                rounds.append(round_index)
+                return request(prompt, layout_wire, round_index, annotation=annotation)
+
+            session.request = recorded
+            return session
+
+        monkeypatch.setattr(pipeline, "make_interpreter", recording_make)
+        report = run_batch(RunConfig(
+            dataset_path=path, rounds=3, solver="external",
+            endpoint=f"{sys.executable} {FAKE} solve", perception=VALUE_NOISE, seed=78,
+        ))
+        assert [t.error for t in report.trajectories] == [None] * 40
+        assert rounds and max(rounds) > 1
 
     def test_echo_under_value_noise_makes_no_edit(self, tmp_path, monkeypatch):
         """The wire rounds to 3 decimals; a layout sent back unchanged must
