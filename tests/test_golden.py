@@ -60,7 +60,7 @@ NOISE_FLAGS = [
     "--perception-facing-flip", "0.05", "--perception-dropout", "0.05",
     "--perception-duplicate", "0.05",
 ]
-NOISY_DECISIONS = "44e40f581a6b50cc7ee8c448840aeed46ac2c73f8605b246d8e2971d8a22243c"
+NOISY_DECISIONS = "76cdb8c2108b76bd2fe72916416d97c6ad79692e96690ab6869dc292a08dfab9"
 
 
 def _digests(source: str, workdir: Path) -> dict[str, str]:
