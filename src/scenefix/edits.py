@@ -3,8 +3,11 @@
 A SymbolicScene pairs an object layout with a per-pixel depth grid.
 Scenes built by this package render the grid from the layout: each
 object is a uniform patch over its box's pixel rectangle, on a uniform
-background. The executor edits the layout and renders it again, so the
-two views never drift apart.
+background, painted nearest-last (ascending depth, ties in layout
+order), so a pixel shows, and is owned by, the nearest object over it.
+Perception reads an object's depth from the pixels it owns. The executor
+edits the layout and renders it again, so the two views never drift
+apart.
 
 ``apply_depth_formula`` states the paper's pixel rule for depth edits,
 
@@ -102,15 +105,17 @@ def action_kind(action: EditAction) -> str:
 class SymbolicScene:
     """An object layout and the per-pixel depth grid it is seen through.
 
-    ``SymbolicScene(layout, depth)`` pairs a layout with a given grid.
-    :func:`scene_from_layout` builds one whose grid is rendered from the
-    layout the first time ``depth`` is read, and then kept. Such a scene
-    also knows its ``clear`` objects: those whose pixel rectangle no later
-    object in paint order overlaps, so that the mean over their box is
-    their stored depth. A given grid has no clear objects.
+    ``SymbolicScene(layout, depth)`` pairs a layout with a given grid,
+    whose pixels have no owners. :func:`scene_from_layout` builds one
+    whose grid is rendered from the layout the first time ``depth`` is
+    read, and then kept: patches are painted nearest-last, in ascending
+    depth with ties in layout order, and each pixel is owned by the object
+    painted there last. Such a scene also knows its ``clear`` objects:
+    those whose pixel rectangle no object painted later overlaps, so that
+    they own their whole rectangle. A given grid has no clear objects.
     """
 
-    __slots__ = ("layout", "size", "background_depth", "clear", "_bounds", "_grid")
+    __slots__ = ("layout", "size", "background_depth", "clear", "_bounds", "_grid", "_owners")
 
     def __init__(
         self, layout: SceneLayout, depth: DepthMap, background_depth: float = DEFAULT_BACKGROUND_DEPTH
@@ -121,17 +126,48 @@ class SymbolicScene:
         self.clear: frozenset[int] = frozenset()
         self._bounds = None
         self._grid = depth
+        self._owners = None
 
     @property
     def depth(self) -> DepthMap:
         if self._grid is None:
-            w, h = self.size
-            arr = np.empty((h, w))
-            arr.fill(self.background_depth)
-            for obj, (c0, c1, r0, r1) in zip(self.layout.objects, self._bounds):
-                arr[r0 : r1 + 1, c0 : c1 + 1] = obj.depth
-            self._grid = DepthMap.adopt(arr)
+            values = [obj.depth for obj in self.layout.objects]
+            values.append(self.background_depth)  # owner -1: the background
+            self._grid = DepthMap.adopt(np.array(values)[self._owner_grid()])
         return self._grid
+
+    def _owner_grid(self) -> np.ndarray:
+        """Each pixel's owner as a layout index, -1 for the background."""
+        if self._owners is None:
+            w, h = self.size
+            owners = np.empty((h, w), dtype=np.intp)
+            owners.fill(-1)
+            objects = self.layout.objects
+            for i in sorted(range(len(objects)), key=lambda i: objects[i].depth):
+                c0, c1, r0, r1 = self._bounds[i]
+                owners[r0 : r1 + 1, c0 : c1 + 1] = i
+            self._owners = owners
+        return self._owners
+
+    def owns_pixel(self, index: int, bbox: BBox) -> bool:
+        """Whether layout object ``index`` owns a pixel of ``bbox``'s rectangle.
+
+        Always false on a given grid. For a clear object this is a
+        rectangle-intersection test; any other object reads the owner grid,
+        rendered once per scene. Raises EmptyRegionError when ``bbox``
+        covers no pixel center.
+        """
+        w, h = self.size
+        c0, c1, r0, r1 = grid_bounds(w, h, bbox)
+        if self._bounds is None:
+            return False
+        own_c0, own_c1, own_r0, own_r1 = self._bounds[index]
+        if c0 > own_c1 or own_c0 > c1 or r0 > own_r1 or own_r0 > r1:
+            return False
+        if self.layout.objects[index].object_id in self.clear:
+            return True
+        c0, c1, r0, r1 = max(c0, own_c0), min(c1, own_c1), max(r0, own_r0), min(r1, own_r1)
+        return bool((self._owner_grid()[r0 : r1 + 1, c0 : c1 + 1] == index).any())
 
 
 def scene_from_layout(
@@ -141,26 +177,30 @@ def scene_from_layout(
     background_depth: float = DEFAULT_BACKGROUND_DEPTH,
 ) -> SymbolicScene:
     """The scene a layout renders to: uniform patches over a background,
-    painted in layout order.
+    painted nearest-last (ascending depth, ties in layout order).
 
     Every box's pixel bounds are taken here, so a box that covers no pixel
     center raises EmptyRegionError from this call; the grid itself is
-    rendered on the first read of ``depth``.
+    rendered on the first read of ``depth``. ``clear`` comes from each
+    overlapping pair's depths, so a scene nobody reads pixels of is never
+    sorted into paint order.
     """
     background_depth = float(background_depth)
     bounds = tuple(grid_bounds(width, height, obj.bbox) for obj in layout.objects)
     if not 0.0 <= background_depth <= 1.0:
         raise ValueError(f"background depth must lie in [0, 1], got {background_depth!r}")
-    clear = []
+    objects = layout.objects
+    covered = set()
     for i, (c0, c1, r0, r1) in enumerate(bounds):
-        for later_c0, later_c1, later_r0, later_r1 in bounds[i + 1 :]:
+        for j in range(i + 1, len(bounds)):
+            later_c0, later_c1, later_r0, later_r1 = bounds[j]
             if c0 <= later_c1 and later_c0 <= c1 and r0 <= later_r1 and later_r0 <= r1:
-                break  # a later patch covers part of this one
-        else:
-            clear.append(layout.objects[i].object_id)
+                # of an overlapping pair, the farther one (the earlier in a tie) is painted first
+                covered.add(i if objects[i].depth <= objects[j].depth else j)
     scene = SymbolicScene.__new__(SymbolicScene)
     scene.layout, scene.size, scene.background_depth = layout, (width, height), background_depth
-    scene.clear, scene._bounds, scene._grid = frozenset(clear), bounds, None
+    scene.clear = frozenset(o.object_id for i, o in enumerate(objects) if i not in covered)
+    scene._bounds, scene._grid, scene._owners = bounds, None, None
     return scene
 
 

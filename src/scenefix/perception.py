@@ -1,14 +1,20 @@
 """Simulated perception: read objects out of a symbolic scene, with noise.
 
 The perceiver answers attributed-name queries against the scene's object
-table, so it only ever reports objects the caller asked about. Depth is
-read as the mean of the scene's depth map over the perceived rectangle,
-which keeps the reported value honest even when the box was jittered.
-An object the scene marks ``clear`` (no later patch covers it) read at
-its own box is the exception: that mean is its stored depth, which is
-taken without the grid. On a consistent scene with all noise rates at
-zero the output equals the scene layout restricted to the queried
-objects, field for field.
+table, so it only ever reports objects the caller asked about. Scenes
+paint nearest-last, and an object's depth is read as the mean of the
+pixels it owns inside the perceived (perhaps jittered) rectangle: a
+near patch over it, or the background around it, does not move the
+read. Every patch is uniform, so that mean is the object's stored depth
+whenever it owns a pixel there. For an object the scene marks ``clear``
+(no patch painted later overlaps it) that is a rectangle test on pixel
+bounds, with no grid; any other object reads the scene's owner grid.
+Three reads fall back to the mean of the depth grid over the box,
+snapped to the stored depth when within ``_SNAP_EPS``: a box that holds
+none of the object's pixels, a duplicate's phantom box, and any read of
+a scene built on a given grid, whose pixels have no owners. On a
+consistent scene with all noise rates at zero the output equals the
+scene layout restricted to the queried objects, field for field.
 
 Noise knobs, applied per object in a fixed order: detection dropout,
 box jitter, depth read noise, facing misreads (uniform over the other
@@ -108,7 +114,12 @@ def _jitter_bbox(rng: random.Random, b: BBox, sigma: float) -> BBox:
     return BBox(x, y, w, h)
 
 
-def _read_depth(scene, bbox: BBox, stored: float) -> float:
+def _read_depth(scene, bbox: BBox, stored: float, index: int | None = None) -> float:
+    """Depth of layout object ``index`` read through ``bbox``: ``stored``, the
+    mean of its uniform patch, when it owns a pixel of the box; otherwise,
+    and always for a phantom (``index`` None), the box mean of the grid."""
+    if index is not None and scene.owns_pixel(index, bbox):
+        return stored
     d = box_depth(scene.depth, bbox)
     # mean of a uniform patch can pick up float dust; keep identity exact
     return stored if abs(d - stored) < _SNAP_EPS else d
@@ -145,7 +156,7 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
     clear = scene.clear
     detected: list[SceneObject] = []
 
-    for obj in scene.layout.objects:
+    for index, obj in enumerate(scene.layout.objects):
         for q in queries:
             if mention_matches(obj, q):
                 break
@@ -164,7 +175,7 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
         if bbox is obj.bbox and obj.object_id in clear:
             depth = obj.depth
         else:
-            depth = _read_depth(scene, bbox, obj.depth)
+            depth = _read_depth(scene, bbox, obj.depth, index)
         if depth_sigma > 0:
             noised = min(1.0, max(0.0, depth + rng.gauss(0.0, depth_sigma)))
             if events is not None:
@@ -188,6 +199,7 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
         for obj in detected:
             if rng.random() < duplicate:
                 bbox = _duplicate_bbox(obj.bbox)
+                # a phantom owns no pixel: its box mean, as a detector would read it
                 depth = _read_depth(scene, bbox, obj.depth)
                 clones.append(obj.replace(object_id=next_id, bbox=bbox, depth=depth))
                 if events is not None:

@@ -89,7 +89,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class RoundOutcome:
     round_index: int
-    result: EvaluationResult | None
+    result: EvaluationResult
     actions: tuple[EditAction, ...] = ()
 
 
@@ -104,6 +104,8 @@ class SampleTrajectory:
     def correct_at(self, round_index: int) -> bool:
         for outcome in self.rounds:
             if outcome.round_index == round_index:
+                # the loop never stores None; bench/selftest.py does, to fake
+                # a wrong round-0 verdict, and reads it back through here
                 return outcome.result is not None and outcome.result.correct
         return False  # errored out before reaching this round
 
@@ -237,8 +239,8 @@ def _trajectory_record(t: SampleTrajectory) -> dict:
         "rounds": [
             {
                 "round": o.round_index,
-                "correct": o.result.correct if o.result is not None else False,
-                "failures": sorted(f.value for f in o.result.failures) if o.result else [],
+                "correct": o.result.correct,
+                "failures": sorted(f.value for f in o.result.failures),
                 "actions": [action_to_record(a) for a in o.actions],
             }
             for o in t.rounds
@@ -267,12 +269,7 @@ def build_report(trajectories: tuple[SampleTrajectory, ...], rounds: int) -> Run
         present = [a for a in (rel, intr) if a is not None]
         avg_acc.append(sum(present) / len(present) if present else overall)
 
-        results = [
-            o.result
-            for t in trajectories
-            for o in t.rounds
-            if o.round_index == r and o.result is not None
-        ]
+        results = [o.result for t in trajectories for o in t.rounds if o.round_index == r]
         hist = categorize_run(results)
         categories.append(
             tuple(sorted((cat.value, count) for cat, count in hist.counts if count))

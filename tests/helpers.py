@@ -104,7 +104,28 @@ def scene_consistency_gap(scene) -> float:
 
 # The detector as it stood before its hot path was unrolled: builtin
 # ``min``/``max`` clamps, ``any`` over the queries, ``SceneObject.replace``
-# and ``ndarray.sum``. Perception must draw and return exactly what this does.
+# and ``ndarray.sum``, reading depth with a boolean mask over an owner grid
+# rendered pixel by pixel. Perception must draw and return exactly what
+# this does.
+
+def reference_owner_grid(layout: SceneLayout, width: int, height: int):
+    """Each pixel's owner as a layout index, -1 for the background: of the
+    boxes over a pixel the nearest, and of equally near ones the last in
+    layout order. Taken box by box in layout order, not by sorting."""
+    import numpy as np
+
+    from scenefix.scene import grid_bounds
+
+    owners = np.full((height, width), -1, dtype=np.intp)
+    nearest = np.full((height, width), -np.inf)
+    for i, o in enumerate(layout.objects):
+        c0, c1, r0, r1 = grid_bounds(width, height, o.bbox)
+        region = (slice(r0, r1 + 1), slice(c0, c1 + 1))
+        take = nearest[region] <= o.depth
+        owners[region][take] = i
+        nearest[region][take] = o.depth
+    return owners
+
 
 def reference_box_depth(depth, b: BBox) -> float:
     from scenefix.scene import rect_bounds
@@ -124,14 +145,26 @@ def reference_jitter_bbox(rng: random.Random, b: BBox, sigma: float) -> BBox:
     return BBox(x, y, w, h)
 
 
-def reference_read_depth(scene, bbox: BBox, stored: float) -> float:
+def reference_read_depth(scene, bbox: BBox, stored: float, owners=None, index=None) -> float:
+    """The mean of the grid's pixels that ``owners`` gives to ``index`` inside
+    the box; the box mean when there are none, or no owners or index."""
     from scenefix.perception import _SNAP_EPS
+    from scenefix.scene import rect_bounds
 
-    d = reference_box_depth(scene.depth, bbox)
+    d = None
+    if owners is not None and index is not None:
+        c0, c1, r0, r1 = rect_bounds(scene.depth, bbox)
+        owned = owners[r0 : r1 + 1, c0 : c1 + 1] == index
+        if owned.any():
+            d = float(scene.depth.values[r0 : r1 + 1, c0 : c1 + 1][owned].mean())
+    if d is None:
+        d = reference_box_depth(scene.depth, bbox)
     return stored if abs(d - stored) < _SNAP_EPS else d
 
 
-def reference_detect(scene, queries, cfg, seed: int, events: list | None):
+def reference_detect(scene, queries, cfg, seed: int, events: list | None, owners=None):
+    """``owners`` is the scene's owner grid (``reference_owner_grid``), or
+    None for a given grid, which is read by box means only."""
     from scenefix.evaluate import mention_matches
     from scenefix.perception import PerceptionEvent, _duplicate_bbox, _misread_facing
 
@@ -140,7 +173,7 @@ def reference_detect(scene, queries, cfg, seed: int, events: list | None):
     rng = None if cfg.noiseless else random.Random(seed)
     detected: list[SceneObject] = []
 
-    for obj in scene.layout.objects:
+    for index, obj in enumerate(scene.layout.objects):
         if not any(mention_matches(obj, q) for q in queries):
             continue
         if cfg.dropout_rate > 0 and rng.random() < cfg.dropout_rate:
@@ -153,7 +186,7 @@ def reference_detect(scene, queries, cfg, seed: int, events: list | None):
             if events is not None:
                 detail = f"{obj.bbox.as_list()} -> {bbox.as_list()}"
                 events.append(PerceptionEvent("bbox-jitter", obj.object_id, detail))
-        depth = reference_read_depth(scene, bbox, obj.depth)
+        depth = reference_read_depth(scene, bbox, obj.depth, owners, index)
         if cfg.depth_sigma > 0:
             noised = min(1.0, max(0.0, depth + rng.gauss(0.0, cfg.depth_sigma)))
             if events is not None:
@@ -196,7 +229,8 @@ def exact_objects(layout: SceneLayout) -> tuple:
 # The edit executor and grid synthesis as they stood before their kernels
 # called numpy's reductions directly: ``np.median``, ``np.ix_``,
 # ``ndarray.sum`` and bounds taken again on every repaint pass. Grid
-# synthesis must return exactly what its reference does; the executor,
+# synthesis must return exactly what its reference does, which paints each
+# pixel with its owner in ``reference_owner_grid``; the executor,
 # which now renders the edited layout instead of patching the grid, must
 # edit the same objects and raise the same errors as this one.
 
@@ -204,12 +238,12 @@ def reference_scene_from_layout(layout: SceneLayout, width: int, height: int, ba
     import numpy as np
 
     from scenefix.edits import SymbolicScene
-    from scenefix.scene import DepthMap, grid_bounds
+    from scenefix.scene import DepthMap
 
+    owners = reference_owner_grid(layout, width, height)
     arr = np.full((height, width), float(background_depth), dtype=np.float64)
-    for o in layout.objects:
-        c0, c1, r0, r1 = grid_bounds(width, height, o.bbox)
-        arr[r0 : r1 + 1, c0 : c1 + 1] = o.depth
+    for i, o in enumerate(layout.objects):
+        arr[owners == i] = o.depth
     return SymbolicScene(layout=layout, depth=DepthMap(arr))
 
 

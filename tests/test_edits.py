@@ -111,8 +111,25 @@ class TestSceneSynthesis:
             obj("dog", oid=2, x=0.25, y=0.25, w=0.5, h=0.5, depth=0.9),
         )
         scene = scene_from_layout(lay, width=8, height=8)
-        # the later object paints over the shared region
+        # the later object, here also the nearer, paints over the shared region
         assert scene.depth.values[3, 3] == pytest.approx(0.9)
+
+    def test_nearest_wins_on_overlap(self):
+        lay = layout(
+            obj("cat", oid=1, x=0.0, y=0.0, w=0.5, h=0.5, depth=0.9),
+            obj("dog", oid=2, x=0.25, y=0.25, w=0.5, h=0.5, depth=0.3),
+            obj("cup", oid=3, x=0.5, y=0.5, w=0.5, h=0.5, depth=0.3),
+        )
+        scene = scene_from_layout(lay, width=8, height=8)
+        # nearest-last: the cat covers the dog; of the equally near dog
+        # and cup, the later in layout order paints last
+        assert scene.depth.values[3, 3] == 0.9
+        assert scene.clear == {1, 3}
+        assert scene.depth.values[5, 5] == 0.3
+        # the dog owns pixels to the right of the cat, none under it
+        assert scene.owns_pixel(0, BBox(0.25, 0.25, 0.25, 0.25))
+        assert not scene.owns_pixel(1, BBox(0.25, 0.25, 0.25, 0.25))
+        assert scene.owns_pixel(1, BBox(0.5, 0.25, 0.25, 0.25))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -133,12 +150,18 @@ class TestSceneSynthesis:
         scene = got[1]
         assert _bits(scene.depth.values) == _bits(want[1].depth.values)
         assert scene.depth is scene.depth
-        # clear: no pixel of the object's rectangle lies in a later one's
-        masks = [rect_mask(scene.depth, o.bbox) for o in lay.objects]
+        # clear: no pixel of the object's rectangle lies in the rectangle of
+        # one painted later, that is nearer, or as near and later in the layout
+        objs = lay.objects
+        masks = [rect_mask(scene.depth, o.bbox) for o in objs]
         assert scene.clear == {
             o.object_id
-            for i, o in enumerate(lay.objects)
-            if not any(masks[i] & later for later in masks[i + 1 :])
+            for i, o in enumerate(objs)
+            if not any(
+                masks[i] & masks[j]
+                for j in range(len(objs))
+                if j != i and (objs[j].depth, j) > (o.depth, i)
+            )
         }
 
     def test_consistency_gap_zero_for_disjoint(self):
@@ -271,10 +294,12 @@ class TestApply:
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_depth_modify_runs_the_depth_formula(self, current, target):
-        # the loop builds only uniform patches; on one no later patch
-        # covers, the re-rendered grid is the paper's pixel rule, bit for bit
+        # the loop builds only uniform patches; on one no nearer patch
+        # covers before or after the edit, the re-rendered grid is the
+        # paper's pixel rule, bit for bit. The dog lies under the cat at
+        # every depth: it is at the far wall, and first in a tie.
         cat = obj("cat", oid=1, x=0.2, y=0.3, w=0.4, h=0.3, depth=current)
-        dog = obj("dog", oid=2, x=0.1, y=0.1, w=0.3, h=0.3, depth=0.9)
+        dog = obj("dog", oid=2, x=0.1, y=0.1, w=0.3, h=0.3, depth=0.0)
         scene = scene_from_layout(layout(dog, cat))
         assert scene.clear == {1}
         out = apply_actions(scene, [DepthModify(1, target)])

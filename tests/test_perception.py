@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scenefix.perception as perception
 from scenefix import (
+    BBox,
     DepthModify,
     EmptyRegionError,
     FacingDirection,
@@ -23,6 +25,7 @@ from scenefix import (
     scene_from_layout,
 )
 from scenefix.perception import ZERO_NOISE, derive_seed
+from scenefix.scene import grid_bounds
 
 from helpers import (
     ATTR_POOL,
@@ -33,6 +36,9 @@ from helpers import (
     obj,
     random_layout,
     reference_detect,
+    reference_owner_grid,
+    reference_read_depth,
+    reference_scene_from_layout,
 )
 
 
@@ -185,12 +191,15 @@ class TestNoiseKnobs:
 
 class TestEventLog:
     # pinned from the event-building detector before perceive stopped
-    # building events; every kind appears at least once
+    # building events; every kind appears at least once. The dog's jittered
+    # box reads its owned pixels, its stored 0.3, not the box mean (which
+    # averaged in background and read 0.2615); the reference detector in
+    # ``helpers`` logs the same events
     PINNED = [
         ("dropout", 1, "cat"),
         ("bbox-jitter", 2, "[0.6, 0.1, 0.2, 0.2] -> "
          "[0.5672348035468757, 0.10094003550495151, 0.20199007426814786, 0.17706369047085105]"),
-        ("depth-noise", 2, "0.2615 -> 0.2309"),
+        ("depth-noise", 2, "0.3000 -> 0.2693"),
         ("facing-flip", 2, "None -> Front"),
         ("bbox-jitter", 3, "[0.3, 0.6, 0.2, 0.2] -> "
          "[0.32618873112909447, 0.6049800970406894, 0.15689511664692413, 0.16842057994157383]"),
@@ -209,6 +218,9 @@ class TestEventLog:
         )
         _, events = perceive_with_log(_scene(), [CAT, DOG], cfg, seed=1)
         assert [(e.kind, e.object_id, e.detail) for e in events] == self.PINNED
+        scene, expected = _scene(), []
+        reference_detect(scene, [CAT, DOG], cfg, 1, expected, _owners(scene))
+        assert [(e.kind, e.object_id, e.detail) for e in expected] == self.PINNED
 
     def test_perceive_builds_no_event(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -250,6 +262,11 @@ class TestEventLog:
         )
 
 
+def _owners(scene):
+    """The reference owner grid of a scene rendered from its layout."""
+    return reference_owner_grid(scene.layout, *scene.size)
+
+
 def _edited_scene(rng: random.Random):
     """A random scene, perhaps edited so that patches overlap and repaint."""
     scene = scene_from_layout(random_layout(rng, max_objects=5))
@@ -278,7 +295,8 @@ _QUERIES = st.lists(
 
 class TestReferenceDetector:
     """The detector draws, clamps and reads depth exactly as the reference
-    in ``helpers`` does: same objects bit for bit, same events."""
+    in ``helpers`` does, which averages the pixels each object owns in the
+    reference owner grid: same objects bit for bit, same events."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -292,7 +310,7 @@ class TestReferenceDetector:
         scene = _edited_scene(random.Random(layout_seed))
         cfg = PerceptionConfig(*sigmas, *rates)
         expected_events: list = []
-        expected = reference_detect(scene, queries, cfg, seed, expected_events)
+        expected = reference_detect(scene, queries, cfg, seed, expected_events, _owners(scene))
         assert exact_objects(perceive(scene, queries, cfg, seed=seed)) == exact_objects(expected)
         got, events = perceive_with_log(scene, queries, cfg, seed=seed)
         assert exact_objects(got) == exact_objects(expected)
@@ -302,8 +320,9 @@ class TestReferenceDetector:
 
 
 class TestUnoccludedRead:
-    """An object no later patch covers is read at its stored depth without
-    the grid; that is what averaging the rendered grid's pixels returns."""
+    """An object no nearer patch covers is read at its stored depth without
+    the grid, and a covered one through the owner grid; that is what
+    averaging the pixels each object owns on the rendered grid returns."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -327,5 +346,115 @@ class TestUnoccludedRead:
         cfg = PerceptionConfig(depth_sigma=depth_sigma)
         got = perceive(scene, queries, cfg, seed=seed)
         grid = scene_from_layout(lay, w, h, background).depth
-        want = perceive(SymbolicScene(lay, grid), queries, cfg, seed=seed)
+        owners = reference_owner_grid(lay, w, h)
+        want = reference_detect(SymbolicScene(lay, grid), queries, cfg, seed, None, owners)
         assert exact_objects(got) == exact_objects(want)
+
+
+# Layouts drawn from a few coordinates, sides and depths, so that patches
+# overlap, share edges and tie in depth often; -0.0 and 0.0 tie too.
+_COORDS = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.6])
+_SIDES = st.sampled_from([0.1, 0.2, 0.3, 0.5])
+_DEPTHS = st.sampled_from([-0.0, 0.0, 0.2, 0.5, 1.0])
+
+
+@st.composite
+def _boxes(draw, sides=_SIDES):
+    w, h = draw(sides), draw(sides)
+    return BBox(min(draw(_COORDS), 1.0 - w), min(draw(_COORDS), 1.0 - h), w, h)
+
+
+@st.composite
+def _layouts(draw):
+    n = draw(st.integers(1, 5))
+    return layout(*[
+        obj(draw(st.sampled_from(NOUN_POOL)), oid=oid, depth=draw(_DEPTHS)).replace(bbox=draw(_boxes()))
+        for oid in range(1, n + 1)
+    ])
+
+
+@st.composite
+def _reads(draw, lay):
+    """(index, box, stored): the object's own, a jittered or any other box
+    (one too small to cover a pixel center now and then), or a phantom's."""
+    index = draw(st.integers(0, len(lay.objects)))
+    if index == len(lay.objects):  # a duplicate's phantom box
+        return None, draw(_boxes()), draw(_DEPTHS)
+    o = lay.objects[index]
+    kind = draw(st.sampled_from(["own", "jittered", "off"]))
+    if kind == "own":
+        bbox = o.bbox
+    elif kind == "jittered":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        bbox = perception._jitter_bbox(rng, o.bbox, draw(st.sampled_from([0.02, 0.1, 0.3])))
+    else:
+        bbox = draw(_boxes(st.sampled_from([0.01, 0.1, 0.3])))
+    return index, bbox, o.depth
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args).hex()
+    except EmptyRegionError as exc:
+        return "raised", str(exc)
+
+
+class TestOwnedPixelRead:
+    """The depth read without the grid equals, bit for bit, the mean of the
+    pixels the object owns on a nearest-last owner grid rendered pixel by
+    pixel, and the box mean where it owns none, for a phantom and on a
+    given grid; a noisy pass over disjoint patches renders no grid."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        lay=_layouts(),
+        size=st.tuples(st.integers(8, 64), st.integers(8, 64)),
+        background=st.sampled_from([0.05, 0.0, -0.0, 0.5, 1.0]),
+        given_grid=st.booleans(),
+    )
+    def test_equals_the_owned_pixel_reference(self, data, lay, size, background, given_grid):
+        w, h = size
+        try:
+            rendered = reference_scene_from_layout(lay, w, h, background)
+        except EmptyRegionError as exc:  # a box too small for this grid
+            with pytest.raises(EmptyRegionError, match=re.escape(str(exc))):
+                scene_from_layout(lay, w, h, background)
+            return
+        if given_grid:
+            scene, owners = SymbolicScene(lay, rendered.depth), None
+        else:
+            scene, owners = scene_from_layout(lay, w, h, background), reference_owner_grid(lay, w, h)
+        reference = SymbolicScene(lay, rendered.depth)
+        # several reads of one scene: the owner grid, once built, is reused
+        for index, bbox, stored in data.draw(st.lists(_reads(lay), min_size=1, max_size=6)):
+            got = _outcome(perception._read_depth, scene, bbox, stored, index)
+            want = _outcome(reference_read_depth, reference, bbox, stored, owners, index)
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layout_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        jitter=st.sampled_from([0.01, 0.02, 0.1]),
+        depth_sigma=st.sampled_from([0.0, 0.02]),
+        queries=_QUERIES,
+    )
+    def test_a_noisy_pass_over_disjoint_patches_renders_no_grid(
+        self, layout_seed, seed, jitter, depth_sigma, queries
+    ):
+        scene = scene_from_layout(random_layout(random.Random(layout_seed), max_objects=6))
+        assume(len(scene.clear) == len(scene.layout.objects))
+        cfg = PerceptionConfig(jitter, depth_sigma, facing_flip_rate=0.05, dropout_rate=0.05)
+        out = perceive(scene, queries, cfg, seed=seed)
+        w, h = scene.size
+        # a read falls back to the grid only where the box holds none of
+        # the object's pixels, which wide jitter can bring about
+        missed = False
+        for o in out.objects:
+            c0, c1, r0, r1 = grid_bounds(w, h, o.bbox)
+            own_c0, own_c1, own_r0, own_r1 = grid_bounds(w, h, scene.layout.find(o.object_id).bbox)
+            missed |= c0 > own_c1 or own_c0 > c1 or r0 > own_r1 or own_r0 > r1
+        assert (scene._grid is None) != missed
+        # the grid is taken from the owner grid, which nothing else needs here
+        assert (scene._owners is None) == (scene._grid is None)

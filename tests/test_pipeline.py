@@ -190,16 +190,12 @@ class TestSingleSample:
         assert trajectory.correct_at(1)
         assert not any(isinstance(a, Addition) for a in trajectory.rounds[1].actions)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="no clear window for the horse: its band overlaps the deer and the cat, "
-        "and the repaint lifts the deer's box-mean depth past the cat's",
-    )
     def test_crowded_reposition_keeps_the_depth_clause(self):
         """Sample for-lmd-341-0784 of the benchmark's clean-r1 dataset at seed 341
-        (1000 samples, 80% corrupted): the horse's left-right swap is repaired,
-        but the intrinsic "in front of" clause flips in the same round."""
+        (1000 samples, 80% corrupted): no clear window exists for the near
+        horse, so its left-right repair moves it over the deer and the cat.
+        The deer's box mean would rise past the cat's and flip the intrinsic
+        "in front of" clause; the deer's owned pixels still read 0.2."""
         sample = sample_from_record({
             "id": "for-lmd-341-0784",
             "prompt": "A blue deer is in front of a cat from the cat's perspective"
@@ -230,6 +226,44 @@ class TestSingleSample:
             " ('pink horse #3', [0.804, 0.409, 0.192, 0.181], 0.9, None)]",
         })
         trajectory = run_sample(sample, RunConfig(dataset_path="unused", rounds=1, seed=341))
+        assert trajectory.error is None and trajectory.correct_at(1)
+
+    def test_crowded_reposition_keeps_the_depth_clause_at_seed_901(self):
+        """Sample for-lmd-901-0763 of the benchmark's clean-r1 dataset at seed 901:
+        the near dolphin (0.8) moves onto the boat's box (0.4). Its box mean
+        would read the boat nearer than the bird (0.5) and flip "a boat is to
+        the right of a bird from the bird's perspective"; the boat's owned
+        pixels still read 0.4."""
+        sample = sample_from_record({
+            "id": "for-lmd-901-0763",
+            "prompt": "A boat is to the right of a bird from the bird's perspective"
+            " and a dolphin is on the right.",
+            "split": "intrinsic",
+            "source": "for-lmd",
+            "annotation": {
+                "background": "A realistic image",
+                "facings": [],
+                "mentions": [
+                    {"attributes": [], "name": "boat"},
+                    {"attributes": [], "name": "bird"},
+                    {"attributes": [], "name": "dolphin"},
+                ],
+                "negations": [],
+                "relations": [
+                    {"perspective": {"kind": "intrinsic", "relatum": "bird"},
+                     "relation": "right", "relatum": "bird", "target": "boat"},
+                    {"perspective": {"kind": "camera"},
+                     "relation": "right", "relatum": "frame", "target": "dolphin"},
+                ],
+            },
+            "gold_layout": "[('boat #1', [0.304, 0.437, 0.191, 0.126], 0.4, None),"
+            " ('bird #2', [0.826, 0.408, 0.148, 0.184], 0.5, 'Left'),"
+            " ('dolphin #3', [0.565, 0.438, 0.171, 0.124], 0.8, None)]",
+            "initial_layout": "[('boat #1', [0.565, 0.437, 0.171, 0.126], 0.4, None),"
+            " ('bird #2', [0.826, 0.408, 0.148, 0.184], 0.5, 'Left'),"
+            " ('dolphin #3', [0.304, 0.438, 0.191, 0.124], 0.8, None)]",
+        })
+        trajectory = run_sample(sample, RunConfig(dataset_path="unused", rounds=1, seed=901))
         assert trajectory.error is None and trajectory.correct_at(1)
 
     @pytest.mark.parametrize("rounds", [1, 3])
