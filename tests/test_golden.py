@@ -60,7 +60,7 @@ NOISE_FLAGS = [
     "--perception-facing-flip", "0.05", "--perception-dropout", "0.05",
     "--perception-duplicate", "0.05",
 ]
-NOISY_DECISIONS = "76cdb8c2108b76bd2fe72916416d97c6ad79692e96690ab6869dc292a08dfab9"
+NOISY_DECISIONS = "1aab7f4ce0c0ae635b69c693250583a646295b2e5c34ee2243407d270a84fe19"
 
 
 def _digests(source: str, workdir: Path) -> dict[str, str]:
