@@ -192,9 +192,8 @@ class TestNoiseKnobs:
 class TestEventLog:
     # pinned from the event-building detector before perceive stopped
     # building events; every kind appears at least once. The dog's jittered
-    # box reads its owned pixels, its stored 0.3, not the box mean (which
-    # averaged in background and read 0.2615); the reference detector in
-    # ``helpers`` logs the same events
+    # box reads the pixels it owns, its stored 0.3; the reference detector
+    # in ``helpers`` logs the same events
     PINNED = [
         ("dropout", 1, "cat"),
         ("bbox-jitter", 2, "[0.6, 0.1, 0.2, 0.2] -> "
