@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import benchgen, oracle, pipeline
-from .errors import SceneFixError
+from .errors import DatasetError, SceneFixError
 from .evaluate import categorize_run, evaluate
 from .perception import PerceptionConfig
 from .rules import rules_records
@@ -116,6 +116,9 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     samples = read_dataset(args.dataset)
     overrides = load_layouts(args.layouts) if args.layouts else {}
+    unknown = overrides.keys() - {sample.id for sample in samples}
+    if unknown:
+        raise DatasetError(f"--layouts names ids the dataset lacks: {', '.join(sorted(unknown))}")
     results = []
     for sample in samples:
         layout = overrides.get(sample.id, sample.initial_layout)

@@ -61,7 +61,16 @@ from .evaluate import (
     find_matching,
     mention_matches,
 )
-from .scene import BBox, FacingDirection, Relation, SceneLayout, SceneObject, bbox_iou, swap_extents
+from .scene import (
+    EPS_CLAMP,
+    BBox,
+    FacingDirection,
+    Relation,
+    SceneLayout,
+    SceneObject,
+    row_worst_ious,
+    swap_extents,
+)
 
 DEFAULT_ADDITION_SIZE = 0.25
 
@@ -83,7 +92,12 @@ def _matches_negation(obj: SceneObject, negated: str) -> bool:
 def place_in_free_band(
     objects, w: float = DEFAULT_ADDITION_SIZE, h: float = DEFAULT_ADDITION_SIZE
 ) -> BBox:
-    """A box in the widest empty horizontal band, never >50% IoU with others."""
+    """A box in the widest empty horizontal band, never >50% IoU with others.
+
+    When no band is wide enough it takes the least-overlapping of 41 spots
+    on each of three rows, skipping a row the box would leave the frame
+    from; OverlapCollisionError when no spot is left at or under 0.5 IoU.
+    """
     intervals = sorted((o.bbox.x, o.bbox.x + o.bbox.w) for o in objects)
     merged: list[list[float]] = []
     for lo, hi in intervals:
@@ -105,19 +119,20 @@ def place_in_free_band(
         cx = (best_gap[0] + best_gap[1]) / 2.0
         return BBox(min(max(cx - w / 2.0, 0.0), 1.0 - w), 0.5 - h / 2.0, w, h)
 
-    # no band wide enough: scan for the least-overlapping spot
-    best: tuple[float, BBox] | None = None
+    # no band wide enough: scan the rows that keep the box in the frame for
+    # the least-overlapping spot
+    xs = [i * (1.0 - w) / 40.0 for i in range(41)]
+    boxes = [o.bbox for o in objects]
+    best: tuple[float, float, float] | None = None
     for yi in (0.375, 0.05, 0.7):
-        for i in range(41):
-            x = i * (1.0 - w) / 40.0
-            box = BBox(x, yi, w, h)
-            worst = max((bbox_iou(box, o.bbox) for o in objects), default=0.0)
+        if yi + h > 1.0 + EPS_CLAMP:
+            continue
+        for x, worst in zip(xs, row_worst_ious(xs, yi, w, h, boxes)):
             if best is None or worst < best[0]:
-                best = (worst, box)
-    assert best is not None
-    if best[0] > 0.5:
+                best = (worst, x, yi)
+    if best is None or best[0] > 0.5:
         raise OverlapCollisionError("no placement with IoU <= 0.5 available")
-    return best[1]
+    return BBox(best[1], best[2], w, h)
 
 
 def _keep_key(mention):
@@ -218,22 +233,24 @@ def _choose_cx(lo: float, hi: float, obj: SceneObject, others) -> float:
     """Pick a center x in the open interval, steering clear of other boxes.
 
     Candidates are scanned on an odd grid so the exact midpoint is among
-    them; overlap-free positions win, nearest the midpoint first.
+    them; overlap-free positions win, nearest the midpoint first. ``_place``
+    keeps the interval inside ``[w/2, 1 - w/2]``, so every candidate is a box
+    in the frame: they are scored with ``row_worst_ious``, building no box,
+    and ``_place`` builds and validates the winner's.
     """
     mid = (lo + hi) / 2.0
-    half = obj.bbox.w / 2.0
-    best_key = None
-    best_cx = mid
+    box = obj.bbox
+    half = box.w / 2.0
+    span = hi - lo
     steps = 41
-    for i in range(1, steps + 1):
-        cx = lo + (hi - lo) * i / (steps + 1)
-        trial = BBox(cx - half, obj.bbox.y, obj.bbox.w, obj.bbox.h)
-        worst = max((bbox_iou(trial, o.bbox) for o in others), default=0.0)
-        key = (worst > 0.0, worst, abs(cx - mid))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_cx = cx
-    return best_cx
+    cxs = [lo + span * i / (steps + 1) for i in range(1, steps + 1)]
+    xs = [cx - half for cx in cxs]
+    worsts = row_worst_ious(xs, box.y, box.w, box.h, [o.bbox for o in others])
+    # least overlap first (so an overlap-free spot wins), then nearest the
+    # midpoint; min() keeps the first of equals
+    least = min(worsts)
+    fewest = (cx for cx, worst in zip(cxs, worsts) if worst == least)
+    return min(fewest, key=lambda cx: abs(cx - mid))
 
 
 def _place(work: _Work, axis, order, free, horizontal: bool) -> bool:

@@ -171,6 +171,39 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
+def row_worst_ious(xs, y: float, w: float, h: float, boxes) -> list[float]:
+    """Worst IoU against ``boxes`` of the box ``(x, y, w, h)`` for each x in
+    the sequence ``xs``.
+
+    Each float equals ``max((bbox_iou(BBox(x, y, w, h), b) for b in boxes),
+    default=0.0)`` bit for bit: the arithmetic is ``bbox_iou``'s in the same
+    operand order, but a box's vertical overlap and area sum are worked out
+    once for the row, boxes that share no row with it are dropped, and no
+    candidate ``BBox`` is built, so the candidates are not validated.
+    """
+    bottom = y + h
+    area = w * h
+    rights = [x + w for x in xs]
+    worsts = [0.0] * len(rights)
+    for b in boxes:
+        iy = max(0.0, min(bottom, b.y + b.h) - max(y, b.y))
+        if iy == 0.0:
+            continue
+        bx = b.x
+        bright = bx + b.w
+        total = area + b.w * b.h
+        for k, x in enumerate(xs):
+            right = rights[k]
+            if right > bx and bright > x:
+                # min() and max() spelled out; each picks the same operand on a tie
+                inter = ((bright if bright < right else right) - (bx if bx > x else x)) * iy
+                if inter != 0.0:
+                    iou = inter / (total - inter)
+                    if iou > worsts[k]:
+                        worsts[k] = iou
+    return worsts
+
+
 @dataclass(frozen=True, eq=False)
 class DepthMap:
     """Immutable per-pixel depth grid, row-major, values in [0, 1]."""

@@ -323,8 +323,13 @@ def sample_from_record(record: dict, line: int = 0):
             annotation = parsed
         else:
             annotation = annotation_from_json(record["annotation"])
-        gold_layout = parse_wire_layout(record["gold_layout"], annotation.background)
-        initial_layout = parse_wire_layout(record["initial_layout"], annotation.background)
+        gold_text, initial_text = record["gold_layout"], record["initial_layout"]
+        gold_layout = parse_wire_layout(gold_text, annotation.background)
+        # an uncorrupted sample starts from its gold layout: one parse serves both
+        if initial_text == gold_text:
+            initial_layout = gold_layout
+        else:
+            initial_layout = parse_wire_layout(initial_text, annotation.background)
         # a box the loop cannot render fails its record, not the run
         for obj in initial_layout.objects:
             grid_bounds(DEFAULT_SCENE_SIZE, DEFAULT_SCENE_SIZE, obj.bbox)
@@ -408,18 +413,24 @@ def read_dataset(path: str) -> list:
 
 
 def load_layouts(path: str) -> dict[str, SceneLayout]:
-    """Read an NDJSON file of {id, layout} overrides for evaluation."""
+    """Read an NDJSON file of {id, layout} overrides for evaluation.
+
+    An id given on two lines is a DatasetError at the second.
+    """
     layouts: dict[str, SceneLayout] = {}
     for lineno, record in read_ndjson(path):
         if not isinstance(record, dict) or "id" not in record or "layout" not in record:
             raise DatasetError(
                 "layout record must be an object with 'id' and 'layout'", line=lineno
             )
-        if not isinstance(record["id"], str):
-            kind = type(record["id"]).__name__
+        sample_id = record["id"]
+        if not isinstance(sample_id, str):
+            kind = type(sample_id).__name__
             raise DatasetError(f"layout record id must be a string, got {kind}", line=lineno)
+        if sample_id in layouts:
+            raise DatasetError(f"layout record id {sample_id!r} is repeated", line=lineno)
         try:
-            layouts[record["id"]] = parse_wire_layout(record["layout"])
+            layouts[sample_id] = parse_wire_layout(record["layout"])
         except SceneFixError as exc:
             raise DatasetError(str(exc), line=lineno) from exc
     return layouts

@@ -94,6 +94,32 @@ NON_ASCII_WIRE = (
 )
 
 
+def extents(max_size: float = 0.5):
+    """Hypothesis strategy: ``(start, size)`` of one side of a box in the
+    frame. Half the draws lie on a twentieths grid, so edges abut and boxes
+    share a top row; the rest are any floats."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def extent(draw):
+        if draw(st.booleans()):
+            size = draw(st.integers(1, round(max_size * 20))) / 20
+            return draw(st.integers(0, 20 - round(size * 20))) / 20, size
+        size = draw(st.floats(0.01, max_size))
+        return draw(st.floats(0.0, 1.0 - size)), size
+
+    return extent()
+
+
+def bboxes(max_size: float = 0.5):
+    """Hypothesis strategy: a box in the frame, its sides drawn by ``extents``."""
+    from hypothesis import strategies as st
+
+    return st.builds(
+        lambda xs, ys: BBox(xs[0], ys[0], xs[1], ys[1]), extents(max_size), extents(max_size)
+    )
+
+
 def scene_consistency_gap(scene) -> float:
     """Largest |stored depth - box mean| over a scene's objects (0 when empty)."""
     gap = 0.0
@@ -363,3 +389,68 @@ def reference_apply_actions(scene, actions):
         reference_restore_consistency(arr, probe, objects)
 
     return SymbolicScene(layout=scene.layout.with_objects(tuple(objects)), depth=DepthMap(arr))
+
+
+# The solver's placement scans as they stood before they scored candidates
+# with ``row_worst_ious``: a ``BBox`` and a ``bbox_iou`` per candidate and
+# other box. Bodies verbatim; both must return exactly what these do.
+# ``reference_place_in_free_band`` also keeps the old fault: it raises a
+# bare ValueError when its scan reaches a row the box does not fit in.
+
+def reference_choose_cx(lo: float, hi: float, obj: SceneObject, others) -> float:
+    from scenefix.scene import bbox_iou
+
+    mid = (lo + hi) / 2.0
+    half = obj.bbox.w / 2.0
+    best_key = None
+    best_cx = mid
+    steps = 41
+    for i in range(1, steps + 1):
+        cx = lo + (hi - lo) * i / (steps + 1)
+        trial = BBox(cx - half, obj.bbox.y, obj.bbox.w, obj.bbox.h)
+        worst = max((bbox_iou(trial, o.bbox) for o in others), default=0.0)
+        key = (worst > 0.0, worst, abs(cx - mid))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_cx = cx
+    return best_cx
+
+
+def reference_place_in_free_band(objects, w: float = 0.25, h: float = 0.25) -> BBox:
+    from scenefix.errors import OverlapCollisionError
+    from scenefix.scene import bbox_iou
+
+    intervals = sorted((o.bbox.x, o.bbox.x + o.bbox.w) for o in objects)
+    merged: list[list[float]] = []
+    for lo, hi in intervals:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    gaps: list[tuple[float, float]] = []
+    cursor = 0.0
+    for lo, hi in merged:
+        if lo > cursor:
+            gaps.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < 1.0:
+        gaps.append((cursor, 1.0))
+
+    best_gap = max(gaps, key=lambda g: g[1] - g[0], default=None)
+    if best_gap is not None and best_gap[1] - best_gap[0] >= w:
+        cx = (best_gap[0] + best_gap[1]) / 2.0
+        return BBox(min(max(cx - w / 2.0, 0.0), 1.0 - w), 0.5 - h / 2.0, w, h)
+
+    # no band wide enough: scan for the least-overlapping spot
+    best: tuple[float, BBox] | None = None
+    for yi in (0.375, 0.05, 0.7):
+        for i in range(41):
+            x = i * (1.0 - w) / 40.0
+            box = BBox(x, yi, w, h)
+            worst = max((bbox_iou(box, o.bbox) for o in objects), default=0.0)
+            if best is None or worst < best[0]:
+                best = (worst, box)
+    assert best is not None
+    if best[0] > 0.5:
+        raise OverlapCollisionError("no placement with IoU <= 0.5 available")
+    return best[1]

@@ -128,6 +128,48 @@ class TestEvaluate:
         assert sum("\tfail\t" in l for l in per_sample) == 4
         assert any(l.startswith("accuracy 0.500 (4/8)") for l in lines)
 
+    def test_layout_overrides_replace_the_stored_layouts(self, tmp_path, capsys):
+        out = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "4", "--corrupt-fraction", "1", "--out", out])
+        samples = read_dataset(out)
+        layouts = str(tmp_path / "layouts.ndjson")
+        with open(layouts, "w", encoding="utf-8") as fh:
+            for s in samples[:2]:
+                record = {"id": s.id, "layout": serialize_wire_layout(s.gold_layout)}
+                fh.write(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", out, "--layouts", layouts]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split("\t")[1] for l in lines[:4]] == ["ok", "ok", "fail", "fail"]
+
+    def test_unknown_layout_id_exits_1_before_scoring(self, tmp_path, capsys):
+        out = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "3", "--out", out])
+        sample = read_dataset(out)[0]
+        layouts = str(tmp_path / "layouts.ndjson")
+        with open(layouts, "w", encoding="utf-8") as fh:
+            for sample_id in (sample.id, "no-such-sample"):
+                record = {"id": sample_id, "layout": serialize_wire_layout(sample.gold_layout)}
+                fh.write(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", out, "--layouts", layouts]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --layouts names ids the dataset lacks: no-such-sample\n"
+
+    def test_repeated_layout_id_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "bench.ndjson")
+        main(["generate", "--n", "3", "--out", out])
+        sample = read_dataset(out)[0]
+        layouts = str(tmp_path / "layouts.ndjson")
+        record = json.dumps({"id": sample.id, "layout": serialize_wire_layout(sample.gold_layout)})
+        Path(layouts).write_text(record + "\n" + record + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", out, "--layouts", layouts]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is repeated (line 2)" in captured.err
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         code = main(["evaluate", "--dataset", str(tmp_path / "absent.ndjson")])
         assert code == 1

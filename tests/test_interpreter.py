@@ -20,6 +20,7 @@ from scenefix import (
     InterpreterTimeout,
     LayoutValidationError,
     ObjectMention,
+    OverlapCollisionError,
     ProtocolError,
     Relation,
     RelationClause,
@@ -72,6 +73,22 @@ class TestPlacement:
         ]
         box = place_in_free_band(existing)
         assert max(bbox_iou(box, o.bbox) for o in existing) <= 0.5
+
+    @pytest.mark.parametrize("h", [0.5, 0.7])
+    def test_tall_box_scans_only_the_rows_it_fits(self, h):
+        # 0.7 + h leaves the frame, and 0.375 + 0.7 too
+        existing = [
+            obj("cat", oid=i + 1, x=0.25 * (i % 4), y=0.25 * (i // 4), w=0.25, h=0.25)
+            for i in range(16)
+        ]
+        box = place_in_free_band(existing, w=0.3, h=h)
+        assert box.y + box.h <= 1.0
+        assert max(bbox_iou(box, o.bbox) for o in existing) <= 0.5
+
+    def test_box_no_scanned_row_fits_is_a_collision(self):
+        existing = [obj("cat", oid=1, x=0.0, y=0.4, w=1.0, h=0.2)]
+        with pytest.raises(OverlapCollisionError, match="no placement"):
+            place_in_free_band(existing, w=0.3, h=0.96)
 
 
 def _expr(*clauses, mentions=None, facings=(), negations=()):

@@ -28,9 +28,9 @@ from scenefix import (
     object_depth,
     scene_from_layout,
 )
-from scenefix.scene import bbox_iou, bucket_center, rect_bounds, rect_mask
+from scenefix.scene import bbox_iou, bucket_center, rect_bounds, rect_mask, row_worst_ious
 
-from helpers import NOUN_POOL, layout, obj, random_layout
+from helpers import NOUN_POOL, bboxes, extents, layout, obj, random_layout
 
 
 class TestAngleBuckets:
@@ -147,6 +147,47 @@ class TestBBox:
         b = BBox(0.2, 0.0, 0.4, 0.4)
         # intersection 0.2*0.4, union 2*0.16 - 0.08
         assert bbox_iou(a, b) == pytest.approx(0.08 / 0.24)
+
+
+def _worst_ious(xs, y, w, h, boxes) -> list[str]:
+    """``bbox_iou``'s worst IoU for each candidate box, as exact hex floats."""
+    return [
+        max((bbox_iou(BBox(x, y, w, h), b) for b in boxes), default=0.0).hex() for x in xs
+    ]
+
+
+class TestRowWorstIous:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_equals_bbox_iou_bit_for_bit(self, data):
+        y, h = data.draw(extents(0.6))
+        w = data.draw(extents(0.6))[1]
+        boxes = data.draw(st.lists(bboxes(), max_size=8))
+        # candidates that abut each box's left and right edges, then any
+        edges = [x for b in boxes for x in (b.x - w, b.x + b.w) if 0.0 <= x <= 1.0 - w]
+        others = data.draw(st.lists(st.floats(0.0, 1.0 - w) | st.just(-0.0), max_size=8))
+        xs = edges + others
+        got = row_worst_ious(xs, y, w, h, boxes)
+        assert [v.hex() for v in got] == _worst_ious(xs, y, w, h, boxes)
+
+    def test_edge_cases(self):
+        b = BBox(0.25, 0.25, 0.25, 0.25)
+        cases = [
+            (0.0, 0.25, 0.25, 0.25),  # abuts the left edge on the same row
+            (0.5, 0.25, 0.25, 0.25),  # abuts the right edge on the same row
+            (0.25, 0.0, 0.25, 0.25),  # abuts the top edge: no shared row
+            (0.25, 0.5, 0.25, 0.25),  # abuts the bottom edge: no shared row
+            (0.25, 0.25, 0.25, 0.25),  # the same box
+            (0.375, 0.25, 0.25, 0.25),  # half across on the same row
+            (0.25, 0.3, 0.1, 0.1),  # inside it
+        ]
+        for x, y, w, h in cases:
+            assert [v.hex() for v in row_worst_ious([x], y, w, h, [b])] == _worst_ious(
+                [x], y, w, h, [b]
+            )
+        assert row_worst_ious([0.0, 0.5, 0.25], 0.25, 0.25, 0.25, [b]) == [0.0, 0.0, 1.0]
+        assert row_worst_ious([0.25], 0.5, 0.25, 0.25, [b]) == [0.0]
+        assert row_worst_ious([0.1, 0.2], 0.3, 0.2, 0.2, []) == [0.0, 0.0]
 
 
 class TestDepthMap:

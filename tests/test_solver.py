@@ -8,12 +8,14 @@ satisfies it. The solver must then always return a proposal.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scenefix import (
     CAMERA,
+    BBox,
     ObjectMention,
+    OverlapCollisionError,
     Relation,
     RelationClause,
     SpatialExpression,
@@ -21,10 +23,19 @@ from scenefix import (
     evaluate,
     suggest_layout,
 )
+from scenefix import interpreter
 from scenefix.dsl import FRAME
+from scenefix.interpreter import _choose_cx, place_in_free_band
 from scenefix.wire import parse_wire_layout
 
-from helpers import layout, obj
+from helpers import (
+    bboxes,
+    extents,
+    layout,
+    obj,
+    reference_choose_cx,
+    reference_place_in_free_band,
+)
 
 NAMES = ("cat", "dog", "cow", "sheep", "horse", "deer")
 
@@ -205,3 +216,138 @@ class TestPlacementCases:
         lay = layout(obj("cat", oid=1, x=0.7), obj("dog", oid=2, x=0.1))
         with pytest.raises(UnsatisfiableError, match="midline"):
             suggest_layout(expr, lay)
+
+
+# ---------------------------------------------------------------------------
+# the placement scans score candidates with ``row_worst_ious`` and must
+# choose exactly what the scans that built a box per candidate chose
+
+
+def _objects(boxes) -> list:
+    return [obj("cat", oid=i + 1, x=b.x, y=b.y, w=b.w, h=b.h) for i, b in enumerate(boxes)]
+
+
+@st.composite
+def crowded_boxes(draw):
+    """Boxes in 2-6 columns that tile the frame's width, 1-3 per column, so
+    that no empty band is wide and the free-band placement scans."""
+    cols = draw(st.integers(2, 6))
+    boxes = []
+    for c in range(cols):
+        for _ in range(draw(st.integers(1, 3))):
+            y, h = draw(extents(0.5))
+            boxes.append(BBox(c / cols, y, 1.0 / cols, h))
+    return boxes
+
+
+@st.composite
+def windows(draw, half: float) -> tuple[float, float]:
+    """An open interval inside ``[half, 1 - half]``, as ``_place`` passes."""
+    ends = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    a, b = sorted([draw(ends), draw(ends)])
+    lo = max(half, half + a * (1.0 - 2.0 * half))
+    hi = min(1.0 - half, half + b * (1.0 - 2.0 * half))
+    assume(lo < hi)
+    return lo, hi
+
+
+def _record_candidates(mp) -> list:
+    """Record every row ``row_worst_ious`` scores for the interpreter."""
+    rows = []
+    real = interpreter.row_worst_ious
+
+    def spy(xs, y, w, h, boxes):
+        rows.append((list(xs), y, w, h))
+        return real(xs, y, w, h, boxes)
+
+    mp.setattr(interpreter, "row_worst_ious", spy)
+    return rows
+
+
+def _assert_valid_boxes(rows) -> None:
+    for xs, y, w, h in rows:
+        for x in xs:
+            BBox(x, y, w, h)
+
+
+class TestPlacementScans:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_choose_cx_matches_the_reference(self, data):
+        box = data.draw(bboxes(0.45))
+        lo, hi = data.draw(windows(box.w / 2.0))
+        others = _objects(data.draw(crowded_boxes() | st.lists(bboxes(), max_size=8)))
+        moved = obj("dog", oid=99, x=box.x, y=box.y, w=box.w, h=box.h)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _record_candidates(mp)
+            cx = _choose_cx(lo, hi, moved, others)
+        assert cx.hex() == reference_choose_cx(lo, hi, moved, others).hex()
+        assert len(rows) == 1 and len(rows[0][0]) == 41
+        _assert_valid_boxes(rows)
+
+    @pytest.mark.parametrize(
+        "lo,hi,obstacle,w",
+        [
+            (0.25, 0.75, 0.1, 0.2),
+            (0.1, 0.9, 0.2, 0.2),
+            (0.125, 0.875, 0.3, 0.2),
+            (0.2, 0.8, 0.3, 0.05),
+        ],
+    )
+    def test_choose_cx_keeps_the_first_of_two_spots_equally_near_the_midpoint(
+        self, lo, hi, obstacle, w
+    ):
+        # a box centred on the window's midpoint leaves overlap-free spots
+        # on both sides, the nearest two at exactly the same distance
+        moved = obj("dog", oid=9, y=0.3, w=w)
+        others = [obj("cat", oid=1, x=0.5 - obstacle / 2.0, y=0.3, w=obstacle)]
+        cx = _choose_cx(lo, hi, moved, others)
+        assert cx.hex() == reference_choose_cx(lo, hi, moved, others).hex()
+        assert cx < 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(satisfiable_problems())
+    def test_solver_moves_match_the_reference(self, problem):
+        expr, lay = problem
+        calls = []
+
+        def checked(lo, hi, moved, others):
+            cx = _choose_cx(lo, hi, moved, others)
+            assert cx.hex() == reference_choose_cx(lo, hi, moved, others).hex()
+            calls.append(cx)
+            return cx
+
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _record_candidates(mp)
+            mp.setattr(interpreter, "_choose_cx", checked)
+            suggest_layout(expr, lay)
+        assert len(rows) == len(calls)
+        _assert_valid_boxes(rows)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        crowded_boxes() | st.lists(bboxes(), max_size=10),
+        extents(0.9),
+        extents(0.3),
+    )
+    # a box as wide as the frame on every scanned row: no spot is under 0.5 IoU
+    @example(
+        [BBox(x, y, 0.95, 0.3) for y in (0.375, 0.05, 0.7) for x in (0.0, 0.05)],
+        (0.0, 0.95),
+        (0.0, 0.3),
+    )
+    def test_free_band_matches_the_reference(self, boxes, width, height):
+        # the reference's scan raises a bare ValueError on a box taller than 0.3
+        w, h = width[1], height[1]
+        objects = _objects(boxes)
+        try:
+            expected = reference_place_in_free_band(objects, w, h)
+        except OverlapCollisionError:
+            with pytest.raises(OverlapCollisionError):
+                place_in_free_band(objects, w, h)
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _record_candidates(mp)
+            box = place_in_free_band(objects, w, h)
+        assert [v.hex() for v in box.as_list()] == [v.hex() for v in expected.as_list()]
+        _assert_valid_boxes(rows)

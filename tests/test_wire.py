@@ -27,6 +27,7 @@ from scenefix import (
     serialize_wire_layout,
     write_dataset,
 )
+from scenefix.benchgen import apply_corruption
 from scenefix.edits import Reposition, diff_layouts
 from scenefix.wire import (
     annotation_from_json,
@@ -196,6 +197,29 @@ class TestDatasetFiles:
         write_dataset(path, samples)
         assert read_dataset(path) == samples
 
+    def test_an_uncorrupted_record_parses_its_layout_once(self, monkeypatch):
+        from scenefix import wire
+
+        parsed = []
+        real = wire.parse_wire_layout
+        monkeypatch.setattr(
+            wire, "parse_wire_layout", lambda text, bg: parsed.append(text) or real(text, bg)
+        )
+        samples, _ = apply_corruption(generate_for_lmd(10, seed=78), 0.5, 78)
+        records = [sample_to_record(s) for s in samples]
+        uncorrupted = 0
+        for record in records:
+            parsed.clear()
+            sample = sample_from_record(record)
+            gold, initial = record["gold_layout"], record["initial_layout"]
+            assert sample.initial_layout == real(initial, sample.annotation.background)
+            if gold == initial:
+                uncorrupted += 1
+                assert parsed == [gold]
+            else:
+                assert parsed == [gold, initial]
+        assert uncorrupted == 5
+
     def test_ndjson_is_deterministic(self, tmp_path):
         samples = generate_for_lmd(10, seed=78)
         p1, p2 = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
@@ -284,6 +308,19 @@ class TestDatasetFiles:
         with pytest.raises(DatasetError) as err:
             reader(str(path))
         assert err.value.line == 2
+
+    def test_repeated_layout_id_is_dataset_error_at_the_repeat(self, tmp_path):
+        path = tmp_path / "layouts.ndjson"
+        cat, dog = layout(obj("cat", oid=1)), layout(obj("dog", oid=1))
+        write_ndjson(str(path), [
+            {"id": "s1", "layout": serialize_wire_layout(cat)},
+            {"id": "s2", "layout": serialize_wire_layout(cat)},
+            {"id": "s1", "layout": serialize_wire_layout(dog)},
+        ])
+        with pytest.raises(DatasetError) as err:
+            load_layouts(str(path))
+        assert err.value.line == 3
+        assert "'s1' is repeated" in str(err.value)
 
     def test_load_layouts_needs_both_fields(self, tmp_path):
         path = tmp_path / "layouts.ndjson"
