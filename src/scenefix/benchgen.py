@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace as dc_replace
+from functools import partial
 
 from .dsl import (
     CAMERA,
@@ -47,12 +48,14 @@ from .interpreter import place_in_free_band
 from .perception import derive_seed
 from .rules import camera_relation, convert_relation
 from .scene import (
+    MIDLINE,
     BBox,
     BUCKETS,
     FacingDirection,
     Relation,
     SceneLayout,
     SceneObject,
+    relation_holds,
     swap_extents,
 )
 
@@ -127,7 +130,8 @@ def _build_gold(rng: random.Random, expr: SpatialExpression, facing_map) -> Scen
     """Grid-aligned layout satisfying every clause of the expression.
 
     Clause axes never collide (orthogonality by construction), so one
-    value swap per clause is enough to enforce its strict order.
+    value swap per clause is enough to enforce its strict order: no slot
+    lies on the midline, and values on an axis are distinct.
     """
     mentions = expr.mentions
     n = len(mentions)
@@ -139,20 +143,16 @@ def _build_gold(rng: random.Random, expr: SpatialExpression, facing_map) -> Scen
         cam = clause.relation
         if isinstance(clause.perspective, Intrinsic):
             cam = convert_relation(cam, facing_map[clause.perspective.relatum])
+        i = idx[clause.target]
         if clause.relatum == FRAME:
-            i = idx[clause.target]
-            want_left = cam is Relation.LEFT
-            if (slots[i] < 0.5) != want_left:
-                j = next(k for k in range(n) if k != i and (slots[k] < 0.5) == want_left)
-                slots[i], slots[j] = slots[j], slots[i]
-        elif cam.horizontal:
-            i, j = idx[clause.target], idx[clause.relatum]
-            if (slots[i] < slots[j]) != (cam is Relation.LEFT):
+            if not relation_holds(cam, slots[i], MIDLINE):
+                j = next(k for k in range(n) if k != i and relation_holds(cam, slots[k], MIDLINE))
                 slots[i], slots[j] = slots[j], slots[i]
         else:
-            i, j = idx[clause.target], idx[clause.relatum]
-            if (depths[i] > depths[j]) != (cam is Relation.FRONT):
-                depths[i], depths[j] = depths[j], depths[i]
+            values = slots if cam.horizontal else depths
+            j = idx[clause.relatum]
+            if not relation_holds(cam, values[i], values[j]):
+                values[i], values[j] = values[j], values[i]
 
     objects = []
     for k, mention in enumerate(mentions):
@@ -284,23 +284,22 @@ def _replace_objects(layout, *updated: SceneObject) -> SceneLayout:
     return layout.with_objects(tuple(by_id.get(o.object_id, o) for o in layout.objects))
 
 
-def _corrupt_lr_swap(rng, expr, layout):
+def _corrupt_axis_swap(horizontal: bool, rng, expr, layout):
+    """Break the first judgeable clause on the axis by swapping x extents
+    or depths. A frame clause's target trades with the lowest-id object on
+    the half the clause refuses (mirroring could land on another box and
+    muddy its depth read), and is mirrored only when there is none."""
     for clause in expr.relations:
         cam = _converted(clause, expr, layout)
-        if cam is None or not cam.horizontal:
+        if cam is None or cam.horizontal is not horizontal:
             continue
         target = layout.first_named(clause.target)
         if target is None:
             continue
         if clause.relatum == FRAME:
-            # trade x extents with an object on the opposite half so the
-            # corrupted scene stays overlap-free; raw mirroring can land
-            # on another box and muddy its depth reading
-            left_side = target.bbox.cx < 0.5
             partners = [
-                o
-                for o in layout.objects
-                if o.object_id != target.object_id and (o.bbox.cx < 0.5) != left_side
+                o for o in layout.objects
+                if o is not target and not relation_holds(cam, o.bbox.cx, MIDLINE)
             ]
             if partners:
                 partner = min(partners, key=lambda o: o.object_id)
@@ -315,27 +314,12 @@ def _corrupt_lr_swap(rng, expr, layout):
             relatum = layout.first_named(clause.relatum)
             if relatum is None:
                 continue
-            new_layout = _replace_objects(layout, *swap_extents(target, relatum, horizontal=True))
-            detail = f"swapped x extents of {target.name} and {relatum.name}"
-        return new_layout, Injection("", "lr-swap", ErrorCategory.LEFT_RIGHT, detail)
-    return None
-
-
-def _corrupt_depth_swap(rng, expr, layout):
-    for clause in expr.relations:
-        if clause.relatum == FRAME:
-            continue
-        cam = _converted(clause, expr, layout)
-        if cam is None or cam.horizontal:
-            continue
-        a, b = layout.first_named(clause.target), layout.first_named(clause.relatum)
-        if a is None or b is None:
-            continue
-        new_layout = _replace_objects(layout, *swap_extents(a, b, horizontal=False))
-        return new_layout, Injection(
-            "", "depth-swap", ErrorCategory.FRONT_BACK,
-            f"swapped depths of {a.name} and {b.name}",
-        )
+            new_layout = _replace_objects(layout, *swap_extents(target, relatum, horizontal))
+            what = "x extents" if horizontal else "depths"
+            detail = f"swapped {what} of {target.name} and {relatum.name}"
+        if horizontal:
+            return new_layout, Injection("", "lr-swap", ErrorCategory.LEFT_RIGHT, detail)
+        return new_layout, Injection("", "depth-swap", ErrorCategory.FRONT_BACK, detail)
     return None
 
 
@@ -417,8 +401,8 @@ def _corrupt_drop(rng, expr, layout):
 
 
 _KIND_FUNCS = {
-    "lr-swap": _corrupt_lr_swap,
-    "depth-swap": _corrupt_depth_swap,
+    "lr-swap": partial(_corrupt_axis_swap, True),
+    "depth-swap": partial(_corrupt_axis_swap, False),
     "facing-flip": _corrupt_facing_flip,
     "duplicate": _corrupt_duplicate,
     "drop": _corrupt_drop,

@@ -183,13 +183,13 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    agree, total = oracle.agreement_over_scenes(args.scenes, args.seed)
     records = oracle.check_rule_table()
     mismatches = [r for r in records if not r["agree"]]
     for r in records:
         mark = "ok" if r["agree"] else "MISMATCH"
         print(f"{r['rule_id']:<4}{r['facing']:<16}{r['relation']:<8}"
               f"table={r['table']:<8}oracle={r['oracle']:<8}{mark}")
-    agree, total = oracle.agreement_over_scenes(args.scenes, args.seed)
     print(f"cardinal pairs: {len(records) - len(mismatches)}/{len(records)} agree")
     print(f"random scenes:  {agree}/{total} agree")
     return 0 if not mismatches and agree == total else 1

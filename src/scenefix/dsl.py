@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ExpressionParseError
-from .scene import DEFAULT_BACKGROUND, FacingDirection, Relation, slot_setters
+from .scene import DEFAULT_BACKGROUND, HORIZONTAL, FacingDirection, Relation, slot_setters
 
 # Reserved relatum name for unary clauses checked against the image midline.
 FRAME = "frame"
@@ -89,7 +89,7 @@ class RelationClause:
             raise ValueError(f"clause relates {target!r} to itself")
         if relatum == FRAME and not isinstance(perspective, Camera):
             raise ValueError("frame-relative clauses are camera-anchored by definition")
-        if relatum == FRAME and relation not in (Relation.LEFT, Relation.RIGHT):
+        if relatum == FRAME and relation not in HORIZONTAL:
             raise ValueError("frame-relative clauses are horizontal only")
         _set_target(self, target)
         _set_relation(self, relation)
@@ -518,8 +518,7 @@ def render_expression(expr: SpatialExpression) -> str:
         target = lookup[clause.target]
         referenced.add(clause.target)
         if clause.relatum == FRAME:
-            side = "left" if clause.relation is Relation.LEFT else "right"
-            clause_parts.append(f"{_np_text(target)} is on the {side}")
+            clause_parts.append(f"{_np_text(target)} is on the {clause.relation.value}")
         else:
             relatum = lookup[clause.relatum]
             referenced.add(clause.relatum)

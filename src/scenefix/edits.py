@@ -232,12 +232,11 @@ def diff_layouts(current: SceneLayout, proposed: SceneLayout) -> list[EditAction
     per-object field edits in current-layout order, then additions;
     placing additions last means kept objects have already moved to
     their proposed boxes, so an addition never collides with a box the
-    proposal vacates.  Equal layouts yield the empty list.
+    proposal vacates.  Equal layouts yield the empty list.  ``SceneLayout``
+    refuses a repeated id, so each id names one object on either side.
     """
     current_ids = {o.object_id: o for o in current.objects}
     proposed_ids = {o.object_id: o for o in proposed.objects}
-    if len(current_ids) != len(current.objects) or len(proposed_ids) != len(proposed.objects):
-        raise DuplicateIdError("layouts with duplicate ids cannot be diffed")
 
     def unpairable(old: SceneObject, new: SceneObject) -> bool:
         return new.name != old.name or (

@@ -8,11 +8,11 @@ accumulate several failure categories:
 2. orientation: every facing assertion must match the layout facing of
    the name-matching objects, bucket-for-bucket;
 3. relations: intrinsic clauses are first rewritten into the camera frame
-   (asserted facing wins over detected facing), then judged on box
-   centers for left/right and on depth for front/back, strictly.
+   (asserted facing wins over detected facing), then judged strictly by
+   ``scene.relation_holds`` on box centers or depths.
 
 Unary clauses against the reserved frame relatum compare the target's
-center x with the image midline at 0.5.
+center x with the image midline, ``scene.MIDLINE``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,16 @@ from enum import Enum
 from .dsl import FRAME, ObjectMention, RelationClause, SpatialExpression
 from .errors import FacingUnknownError, UnknownObjectError
 from .rules import camera_relation
-from .scene import Relation, SceneLayout, SceneObject, slot_setters
+from .scene import (
+    HORIZONTAL,
+    MIDLINE,
+    Relation,
+    SceneLayout,
+    SceneObject,
+    axis_value,
+    relation_holds,
+    slot_setters,
+)
 
 
 class ErrorCategory(Enum):
@@ -52,21 +61,14 @@ def find_matching(layout: SceneLayout, mention: ObjectMention) -> tuple[SceneObj
 
 def eval_relation(relation: Relation, a: SceneObject, b: SceneObject) -> bool:
     """Strict camera-frame predicate between two objects (ties fail both ways)."""
-    if relation is Relation.LEFT:
-        return a.bbox.cx < b.bbox.cx
-    if relation is Relation.RIGHT:
-        return a.bbox.cx > b.bbox.cx
-    if relation is Relation.FRONT:
-        return a.depth > b.depth
-    return a.depth < b.depth
+    horizontal = relation in HORIZONTAL
+    return relation_holds(relation, axis_value(a, horizontal), axis_value(b, horizontal))
 
 
 def eval_frame_relation(relation: Relation, a: SceneObject) -> bool:
-    if relation is Relation.LEFT:
-        return a.bbox.cx < 0.5
-    if relation is Relation.RIGHT:
-        return a.bbox.cx > 0.5
-    raise ValueError(f"frame-relative clauses are horizontal only, got {relation.value}")
+    if relation not in HORIZONTAL:
+        raise ValueError(f"frame-relative clauses are horizontal only, got {relation.value}")
+    return relation_holds(relation, a.bbox.cx, MIDLINE)
 
 
 @dataclass(frozen=True, slots=True)

@@ -63,11 +63,13 @@ from .evaluate import (
 )
 from .scene import (
     EPS_CLAMP,
+    MIDLINE,
     BBox,
     FacingDirection,
     Relation,
     SceneLayout,
     SceneObject,
+    axis_value,
     row_worst_ious,
     swap_extents,
 )
@@ -189,9 +191,8 @@ class _Constraint:
     @property
     def order(self) -> tuple[int | None, int | None]:
         """(lower, upper): the side with the smaller x or depth first."""
-        if self.relation in (Relation.LEFT, Relation.BACK):
-            return self.target, self.relatum
-        return self.relatum, self.target
+        lower_first = self.relation.target_lower
+        return (self.target, self.relatum) if lower_first else (self.relatum, self.target)
 
     def holds(self, objs: dict[int, SceneObject]) -> bool:
         target = objs[self.target]
@@ -257,7 +258,7 @@ def _place(work: _Work, axis, order, free, horizontal: bool) -> bool:
     """Move only the objects in ``free`` so that every clause on the axis holds.
 
     Each free object gets an open window: the frame, its fixed neighbours
-    (the midline at 0.5) and, taken backwards through ``order``, the caps of
+    (the midline) and, taken backwards through ``order``, the caps of
     its free upper neighbours. Walking forwards, an object keeps its value
     when it lies inside its window and moves inside it otherwise. If any
     window is empty or holds no float, nothing moves and the result is False.
@@ -265,9 +266,7 @@ def _place(work: _Work, axis, order, free, horizontal: bool) -> bool:
     objs = work.objs
 
     def value(node: int | None) -> float:
-        if node is None:
-            return 0.5
-        return objs[node].bbox.cx if horizontal else objs[node].depth
+        return MIDLINE if node is None else axis_value(objs[node], horizontal)
 
     lo: dict[int, float] = {}
     hi: dict[int, float] = {}
@@ -449,6 +448,12 @@ def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutPropo
 
 _RESPONSE_FIELDS = ("updated_prompt", "layout", "reasoning")
 
+
+def _request_record(prompt: str, layout_wire: str, round_index: int) -> str:
+    """The JSON text of one request, without a line terminator."""
+    return json.dumps({"prompt": prompt, "layout": layout_wire, "round": round_index})
+
+
 # Longest HTTP response body read; a longer one is a protocol error.
 _MAX_RESPONSE_BYTES = 1 << 20
 
@@ -580,11 +585,11 @@ class SubprocessInterpreter:
         round_index: int,
         annotation: SpatialExpression | None = None,
     ) -> LayoutProposal:
-        record = {"prompt": prompt, "layout": layout_wire, "round": round_index}
         if self._proc.poll() is not None or self._proc.stdin is None:
             raise ProtocolError("interpreter process is not running")
+        record = _request_record(prompt, layout_wire, round_index)
         try:
-            self._proc.stdin.write((json.dumps(record) + "\n").encode("utf-8"))
+            self._proc.stdin.write((record + "\n").encode("utf-8"))
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"interpreter closed its stdin: {exc}") from exc
@@ -650,9 +655,7 @@ class HttpInterpreter:
         import urllib.error
         import urllib.request  # on first request: most sessions are stdio
 
-        payload = json.dumps(
-            {"prompt": prompt, "layout": layout_wire, "round": round_index}
-        ).encode("utf-8")
+        payload = _request_record(prompt, layout_wire, round_index).encode("utf-8")
         req = urllib.request.Request(
             self.url, data=payload, headers={"Content-Type": "application/json"}
         )

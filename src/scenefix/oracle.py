@@ -230,7 +230,9 @@ def _small_box(cx: float, cy: float) -> BBox:
 
 
 def agreement_over_scenes(n: int, seed: int, margin: float = 0.05) -> tuple[int, int]:
-    """Count evaluator-vs-oracle agreements over n random cardinal scenes."""
+    """Count evaluator-vs-oracle agreements over n >= 0 random cardinal scenes."""
+    if n < 0:
+        raise ValueError(f"scene count must be >= 0, got {n}")
     from .evaluate import evaluate  # local import to keep the geometry standalone
 
     rng = random.Random(seed)

@@ -7,10 +7,11 @@ has 32 entries (8 facings x 4 relations); each facing induces a
 permutation of the four relations, and every permutation here is an
 involution (applying it twice gives the identity).
 
-Rules carry catalog ids "1a".."8d": facings are numbered 1..8 in the
-order Front, ForwardLeft, Left, BackwardLeft, Back, BackwardRight, Right,
-ForwardRight, and relations are lettered a=left, b=right, c=front,
-d=back.  Test failures and exports cite these ids.
+Rules carry catalog ids "1a".."8d": facings are numbered 1..8 in
+``scene.BUCKETS`` order (Front, ForwardLeft, Left, BackwardLeft, Back,
+BackwardRight, Right, ForwardRight), and relations are lettered a..d in
+``Relation``'s order (left, right, front, back).  Test failures and
+exports cite these ids.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .dsl import CAMERA, Camera, Intrinsic, RelationClause, SpatialExpression
 from .errors import FacingUnknownError, UnknownObjectError
-from .scene import FacingDirection, Relation, SceneLayout
+from .scene import BUCKETS, FacingDirection, Relation, SceneLayout
 
 _L, _R, _F, _B = Relation.LEFT, Relation.RIGHT, Relation.FRONT, Relation.BACK
 
@@ -37,19 +38,6 @@ _PERMUTATIONS: dict[FacingDirection, dict[Relation, Relation]] = {
     FacingDirection.BACKWARD_RIGHT: {_L: _L, _R: _R, _F: _B, _B: _F},
 }
 
-_FACING_NUMBER = {
-    FacingDirection.FRONT: 1,
-    FacingDirection.FORWARD_LEFT: 2,
-    FacingDirection.LEFT: 3,
-    FacingDirection.BACKWARD_LEFT: 4,
-    FacingDirection.BACK: 5,
-    FacingDirection.BACKWARD_RIGHT: 6,
-    FacingDirection.RIGHT: 7,
-    FacingDirection.FORWARD_RIGHT: 8,
-}
-
-_RELATION_LETTER = {_L: "a", _R: "b", _F: "c", _B: "d"}
-
 
 @dataclass(frozen=True)
 class ConversionRule:
@@ -61,13 +49,13 @@ class ConversionRule:
 
 RULE_TABLE: tuple[ConversionRule, ...] = tuple(
     ConversionRule(
-        rule_id=f"{_FACING_NUMBER[facing]}{_RELATION_LETTER[rel]}",
+        rule_id=f"{number}{letter}",
         facing=facing,
         relation=rel,
         camera_relation=_PERMUTATIONS[facing][rel],
     )
-    for facing in sorted(_PERMUTATIONS, key=_FACING_NUMBER.get)
-    for rel in (_L, _R, _F, _B)
+    for number, facing in enumerate(BUCKETS, 1)
+    for letter, rel in zip("abcd", Relation)
 )
 
 _LOOKUP = {(r.facing, r.relation): r for r in RULE_TABLE}
@@ -75,9 +63,7 @@ _LOOKUP = {(r.facing, r.relation): r for r in RULE_TABLE}
 
 def convert_relation(relation: Relation, facing: FacingDirection) -> Relation:
     """Camera-frame equivalent of an intrinsic relation given the relatum facing."""
-    if facing is FacingDirection.NONE:
-        raise FacingUnknownError("cannot convert an intrinsic relation without a facing")
-    return _LOOKUP[(facing, relation)].camera_relation
+    return rule_for(relation, facing).camera_relation
 
 
 def rule_for(relation: Relation, facing: FacingDirection) -> ConversionRule:

@@ -37,7 +37,12 @@ class Relation(Enum):
 
     @property
     def horizontal(self) -> bool:
-        return self in (Relation.LEFT, Relation.RIGHT)
+        return self in HORIZONTAL
+
+    @property
+    def target_lower(self) -> bool:
+        """Whether the relation puts its target on the smaller axis value."""
+        return self in _TARGET_LOWER
 
     @property
     def opposite(self) -> "Relation":
@@ -50,6 +55,26 @@ _OPPOSITE = {
     Relation.FRONT: Relation.BACK,
     Relation.BACK: Relation.FRONT,
 }
+
+# The camera-frame relation model that the evaluator, the solver and the
+# generator all read: left/right compare box centre x, front/back depth,
+# and left and back put the target on the smaller side. Plain tuples are
+# cheaper than a property on the evaluator's hot path.
+MIDLINE = 0.5
+HORIZONTAL = (Relation.LEFT, Relation.RIGHT)
+_TARGET_LOWER = (Relation.LEFT, Relation.BACK)
+
+
+def relation_holds(relation: Relation, target: float, relatum: float) -> bool:
+    """The strict camera-frame predicate on two axis values; ties fail both ways."""
+    if relation in _TARGET_LOWER:
+        return target < relatum
+    return target > relatum
+
+
+def axis_value(obj: "SceneObject", horizontal: bool) -> float:
+    """An object's value on an axis: its box centre x, or its depth."""
+    return obj.bbox.cx if horizontal else obj.depth
 
 
 class FacingDirection(Enum):

@@ -454,3 +454,55 @@ def reference_place_in_free_band(objects, w: float = 0.25, h: float = 0.25) -> B
     if best[0] > 0.5:
         raise OverlapCollisionError("no placement with IoU <= 0.5 available")
     return best[1]
+
+
+# The four-branch relation predicates as they stood before the camera-frame
+# relation model moved to ``scene.relation_holds``. Bodies verbatim; the
+# evaluator's predicates must answer exactly what these do.
+
+def reference_eval_relation(relation, a: SceneObject, b: SceneObject) -> bool:
+    from scenefix.scene import Relation
+
+    if relation is Relation.LEFT:
+        return a.bbox.cx < b.bbox.cx
+    if relation is Relation.RIGHT:
+        return a.bbox.cx > b.bbox.cx
+    if relation is Relation.FRONT:
+        return a.depth > b.depth
+    return a.depth < b.depth
+
+
+def reference_eval_frame_relation(relation, a: SceneObject) -> bool:
+    from scenefix.scene import Relation
+
+    if relation is Relation.LEFT:
+        return a.bbox.cx < 0.5
+    if relation is Relation.RIGHT:
+        return a.bbox.cx > 0.5
+    raise ValueError(f"frame-relative clauses are horizontal only, got {relation.value}")
+
+
+def relation_pairs():
+    """Hypothesis strategy: two objects whose box centres or depths often tie.
+
+    A box is drawn by ``bboxes`` or centred exactly on the midline (its
+    width a sixteenth-multiple, so ``cx`` is exactly 0.5); the second
+    object copies the first's x extent or depth in a third of the draws.
+    """
+    from hypothesis import strategies as st
+
+    centred = st.integers(1, 15).map(lambda k: BBox(0.5 - k / 32, 0.1, k / 16, 0.2))
+    boxes = bboxes() | centred
+    depths = st.floats(0.0, 1.0) | st.sampled_from((0.0, 0.5, 1.0))
+
+    @st.composite
+    def pair(draw):
+        a = obj("cat", oid=1, depth=draw(depths))
+        a = a.replace(bbox=draw(boxes))
+        box = draw(boxes)
+        if draw(st.integers(0, 2)) == 0:
+            box = BBox(a.bbox.x, box.y, a.bbox.w, box.h)
+        depth = a.depth if draw(st.integers(0, 2)) == 0 else draw(depths)
+        return a, obj("dog", oid=2, depth=depth).replace(bbox=box)
+
+    return pair()

@@ -345,6 +345,18 @@ class TestRulesAndOracle:
         assert "cardinal pairs: 16/16 agree" in out
         assert "random scenes:  50/50 agree" in out
 
+    def test_negative_scene_count_exits_2_before_printing(self, capsys):
+        assert main(["oracle", "--scenes", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid arguments: scene count must be >= 0, got -3\n"
+
+    def test_zero_scenes_checks_the_table_only(self, capsys):
+        assert main(["oracle", "--scenes", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "cardinal pairs: 16/16 agree" in out
+        assert "random scenes:  0/0 agree" in out
+
 
 def test_console_entry_point(tmp_path):
     out = str(tmp_path / "bench.ndjson")

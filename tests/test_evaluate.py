@@ -29,7 +29,14 @@ from scenefix.evaluate import (
     mention_matches,
 )
 
-from helpers import ATTR_POOL, layout, obj
+from helpers import (
+    ATTR_POOL,
+    layout,
+    obj,
+    reference_eval_frame_relation,
+    reference_eval_relation,
+    relation_pairs,
+)
 
 
 class TestMentionMatching:
@@ -87,6 +94,32 @@ class TestPairwisePredicates:
     def test_frame_relation_vertical_rejected(self):
         with pytest.raises(ValueError):
             eval_frame_relation(Relation.FRONT, obj("cat"))
+
+    @given(relation_pairs())
+    def test_pair_predicate_matches_the_four_branch_reference(self, pair):
+        a, b = pair
+        for relation in Relation:
+            assert eval_relation(relation, a, b) is reference_eval_relation(relation, a, b)
+            assert eval_relation(relation, b, a) is reference_eval_relation(relation, b, a)
+
+    @given(relation_pairs())
+    def test_frame_predicate_matches_the_four_branch_reference(self, pair):
+        for a in pair:
+            for relation in Relation:
+                try:
+                    expected = reference_eval_frame_relation(relation, a)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        eval_frame_relation(relation, a)
+                    continue
+                assert eval_frame_relation(relation, a) is expected
+
+    @pytest.mark.parametrize("relation", [Relation.LEFT, Relation.RIGHT])
+    def test_a_centre_on_the_midline_is_on_neither_side(self, relation):
+        centred = obj("cat", x=0.375, w=0.25)
+        assert centred.bbox.cx == 0.5
+        assert not eval_frame_relation(relation, centred)
+        assert not eval_relation(relation, centred, obj("dog", oid=2, x=0.45, w=0.1))
 
 
 def _two_object_expr(relation=Relation.LEFT, perspective=CAMERA):

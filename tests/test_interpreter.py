@@ -253,6 +253,23 @@ def _prompt_and_wire():
     return "A cat is to the left of a dog from the camera's perspective.", lay
 
 
+# The exact text of the request for ``_REQUEST_ARGS``: the bytes the
+# stdio route writes (plus a newline) and the HTTP route posts.
+_REQUEST_ARGS = ("A cat.", "[('cat #1', [0.1, 0.1, 0.2, 0.2], 0.5, None)]", 2)
+_REQUEST_TEXT = (
+    '{"prompt": "A cat.", "layout": "[(\'cat #1\', [0.1, 0.1, 0.2, 0.2], 0.5, None)]", "round": 2}'
+)
+
+# A child that answers each request line with that line as its reasoning.
+_ECHO_REQUEST = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    r = json.loads(line)\n"
+    "    reply = {'updated_prompt': '', 'layout': r['layout'], 'reasoning': line}\n"
+    "    print(json.dumps(reply), flush=True)\n"
+)
+
+
 class TestSubprocessProtocol:
     def test_echo_round_trip(self):
         prompt, lay = _prompt_and_wire()
@@ -318,6 +335,11 @@ class TestSubprocessProtocol:
         assert proposal.layout == moved
         assert proposal.rationale == ("round 1",)
 
+    def test_request_line_is_pinned(self):
+        with SubprocessInterpreter([sys.executable, "-c", _ECHO_REQUEST]) as session:
+            proposal = session.request(*_REQUEST_ARGS)
+        assert proposal.rationale == (_REQUEST_TEXT + "\n",)
+
     def test_early_exit_is_protocol_error(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("close")) as session:
@@ -337,13 +359,18 @@ class TestSubprocessProtocol:
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
-        record = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        record = json.loads(raw)
         if self.path == "/malformed":
             body = b"no json here"
         elif self.path == "/oversize":
             body = b" " * (_MAX_RESPONSE_BYTES + 1)
         elif self.path == "/not-utf8":
             body = b"\xff"
+        elif self.path == "/echo-body":
+            body = json.dumps(
+                {"updated_prompt": "", "layout": record["layout"], "reasoning": raw.decode("utf-8")}
+            ).encode("utf-8")
         else:
             body = json.dumps(
                 {
@@ -379,6 +406,10 @@ class TestHttpProtocol:
         proposal = session.request(prompt, serialize_wire_layout(lay), 0)
         assert proposal.layout == lay
         assert proposal.rationale == ("http echo",)
+
+    def test_request_body_is_pinned(self, http_endpoint):
+        proposal = HttpInterpreter(http_endpoint + "/echo-body").request(*_REQUEST_ARGS)
+        assert proposal.rationale == (_REQUEST_TEXT,)
 
     def test_malformed_body_is_protocol_error(self, http_endpoint):
         prompt, lay = _prompt_and_wire()

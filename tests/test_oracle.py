@@ -103,3 +103,8 @@ class TestSampledScenes:
         agree, n = agreement_over_scenes(300, seed=7)
         assert n == 300
         assert agree == 300
+
+    def test_agreement_helper_refuses_a_negative_count(self):
+        assert agreement_over_scenes(0, seed=7) == (0, 0)
+        with pytest.raises(ValueError, match="scene count must be >= 0"):
+            agreement_over_scenes(-1, seed=7)

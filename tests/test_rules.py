@@ -28,6 +28,43 @@ ALL_RELATIONS = (Relation.LEFT, Relation.RIGHT, Relation.FRONT, Relation.BACK)
 ALL_FACINGS = tuple(f for f in FacingDirection if f is not FacingDirection.NONE)
 
 
+# Every row of the exported table: rule id, facing, relation, camera relation.
+ALL_ROWS = (
+    ("1a", "Front", "left", "right"),
+    ("1b", "Front", "right", "left"),
+    ("1c", "Front", "front", "front"),
+    ("1d", "Front", "back", "back"),
+    ("2a", "ForwardLeft", "left", "right"),
+    ("2b", "ForwardLeft", "right", "left"),
+    ("2c", "ForwardLeft", "front", "front"),
+    ("2d", "ForwardLeft", "back", "back"),
+    ("3a", "Left", "left", "front"),
+    ("3b", "Left", "right", "back"),
+    ("3c", "Left", "front", "left"),
+    ("3d", "Left", "back", "right"),
+    ("4a", "BackwardLeft", "left", "left"),
+    ("4b", "BackwardLeft", "right", "right"),
+    ("4c", "BackwardLeft", "front", "back"),
+    ("4d", "BackwardLeft", "back", "front"),
+    ("5a", "Back", "left", "left"),
+    ("5b", "Back", "right", "right"),
+    ("5c", "Back", "front", "back"),
+    ("5d", "Back", "back", "front"),
+    ("6a", "BackwardRight", "left", "left"),
+    ("6b", "BackwardRight", "right", "right"),
+    ("6c", "BackwardRight", "front", "back"),
+    ("6d", "BackwardRight", "back", "front"),
+    ("7a", "Right", "left", "back"),
+    ("7b", "Right", "right", "front"),
+    ("7c", "Right", "front", "right"),
+    ("7d", "Right", "back", "left"),
+    ("8a", "ForwardRight", "left", "right"),
+    ("8b", "ForwardRight", "right", "left"),
+    ("8c", "ForwardRight", "front", "front"),
+    ("8d", "ForwardRight", "back", "back"),
+)
+
+
 class TestTableShape:
     def test_32_entries_four_per_facing(self):
         assert len(RULE_TABLE) == 32
@@ -67,6 +104,10 @@ class TestTableShape:
             "relation": "left",
             "camera_relation": "right",
         }
+
+    def test_every_exported_row_is_pinned(self):
+        keys = ("rule_id", "facing", "relation", "camera_relation")
+        assert [tuple(r[k] for k in keys) for r in rules_records()] == list(ALL_ROWS)
 
 
 class TestKnownConversions:

@@ -35,6 +35,7 @@ from helpers import (
     obj,
     reference_choose_cx,
     reference_place_in_free_band,
+    relation_pairs,
 )
 
 NAMES = ("cat", "dog", "cow", "sheep", "horse", "deer")
@@ -107,6 +108,27 @@ def _axis_names(expr: SpatialExpression, horizontal: bool) -> set[str]:
         for name in (c.target, c.relatum)
         if name != FRAME
     }
+
+
+class TestConstraintOrder:
+    """The solver's windows and the evaluator read a clause the same way."""
+
+    @given(relation_pairs())
+    def test_a_clause_holds_exactly_when_its_lower_side_is_smaller(self, pair):
+        objs = {1: pair[0], 2: pair[1]}
+
+        def value(node, horizontal):
+            if node is None:
+                return 0.5
+            return objs[node].bbox.cx if horizontal else objs[node].depth
+
+        for relation in Relation:
+            relata = (2, None) if relation.horizontal else (2,)
+            for relatum in relata:
+                c = interpreter._Constraint(1, relatum, relation)
+                lower, upper = c.order
+                below = value(lower, relation.horizontal) < value(upper, relation.horizontal)
+                assert c.holds(objs) is below
 
 
 class TestSatisfiableSets:
