@@ -75,8 +75,10 @@ def _add_oracle(sub) -> None:
     p.add_argument("--seed", type=int, default=benchgen.DEFAULT_SEED)
 
 
-def _check_output_path(flag: str, path: str) -> None:
-    """Refuse an output path that cannot be written, before any work is done."""
+def _check_output_path(flag: str, path: str, *others: tuple[str, str | None]) -> None:
+    """Refuse an output path that cannot be written, or that names the same
+    file as one of the command's ``others`` (flag, path) pairs, before any
+    work is done."""
     if not path:
         raise ValueError(f"{flag} is empty")
     if os.path.isdir(path) or path.endswith(os.sep):
@@ -84,12 +86,15 @@ def _check_output_path(flag: str, path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"{flag} {path!r}: directory {directory!r} does not exist")
+    for other_flag, other in others:
+        if other and os.path.realpath(other) == os.path.realpath(path):
+            raise ValueError(f"{flag} {path!r} names the same file as {other_flag} {other!r}")
 
 
 def _cmd_generate(args) -> int:
     _check_output_path("--out", args.out)
     if args.injections:
-        _check_output_path("--injections", args.injections)
+        _check_output_path("--injections", args.injections, ("--out", args.out))
     if args.source == "for-lmd":
         ratio = 0.5 if args.intrinsic_ratio is None else args.intrinsic_ratio
         samples = benchgen.generate_for_lmd(args.n, args.seed, ratio)
@@ -136,7 +141,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.report:
-        _check_output_path("--report", args.report)
+        _check_output_path("--report", args.report, ("--dataset", args.dataset))
     perception = PerceptionConfig(
         bbox_jitter_sigma=args.perception_bbox_jitter,
         depth_sigma=args.perception_depth_sigma,

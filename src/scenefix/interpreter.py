@@ -662,6 +662,9 @@ class HttpInterpreter:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 body = resp.read(_MAX_RESPONSE_BYTES + 1)
+        except urllib.error.HTTPError as exc:  # the endpoint answered, with an error status
+            exc.close()
+            raise ProtocolError(f"endpoint answered HTTP {exc.code}: {exc.reason}") from exc
         except urllib.error.URLError as exc:
             if isinstance(getattr(exc, "reason", None), TimeoutError):
                 raise InterpreterTimeout(str(exc)) from exc

@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 
 from .dsl import (
-    CAMERA,
     FacingAssertion,
     Intrinsic,
     ObjectMention,
@@ -34,7 +33,6 @@ from .dsl import (
 )
 from .scene import (
     BBox,
-    BUCKETS,
     FacingDirection,
     Relation,
     SceneLayout,

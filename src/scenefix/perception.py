@@ -21,6 +21,14 @@ box jitter, depth read noise, facing misreads (uniform over the other
 buckets), and spurious duplicates appended after the main sweep. Every
 draw comes from ``random.Random(seed)``, with the seed the caller passes;
 the pipeline derives one per sample, round and pass.
+
+``perceive_with_log`` reads its events off the scene and the perceived
+layout: a queried object the layout lacks was dropped; with a positive
+sigma each detection logs its box jitter and its depth noise (the read
+through its box, taken again, to the depth it reports); a changed facing
+is a flip, as a misread always picks another bucket; and an id above the
+scene's largest is a clone, credited to the first detection whose name,
+attributes, facing and mirrored box it copies.
 """
 
 from __future__ import annotations
@@ -31,14 +39,7 @@ import random
 from dataclasses import dataclass, field
 
 from .evaluate import mention_matches
-from .scene import (
-    BBox,
-    BUCKETS,
-    FacingDirection,
-    SceneLayout,
-    SceneObject,
-    box_depth,
-)
+from .scene import BBox, BUCKETS, FacingDirection, SceneLayout, SceneObject, box_depth
 
 # not called here; bench/layers.py wraps these two names on this module
 from .scene import object_depth, rect_mask  # noqa: F401
@@ -137,13 +138,9 @@ def _duplicate_bbox(b: BBox) -> BBox:
     return BBox(x, b.y, b.w, b.h)
 
 
-def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | None):
-    """The detector behind ``perceive`` and ``perceive_with_log``.
-
-    Appends one PerceptionEvent per realized perturbation to ``events``;
-    with ``events=None`` no event or detail string is built. The noise
-    draws are the same either way.
-    """
+def perceive(scene, queries, cfg: PerceptionConfig, seed: int) -> SceneLayout:
+    """Detect the queried objects in a symbolic scene under the noise model.
+    Builds no PerceptionEvent: ``perceive_with_log`` reads those off the result."""
     if not queries:
         raise ValueError("queries must be nonempty")
     # every draw below is guarded by a positive rate or sigma
@@ -163,34 +160,20 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
         else:
             continue
         if dropout > 0 and rng.random() < dropout:
-            if events is not None:
-                events.append(PerceptionEvent("dropout", obj.object_id, obj.name))
             continue
         bbox = obj.bbox
         if jitter > 0:
             bbox = _jitter_bbox(rng, bbox, jitter)
-            if events is not None:
-                detail = f"{obj.bbox.as_list()} -> {bbox.as_list()}"
-                events.append(PerceptionEvent("bbox-jitter", obj.object_id, detail))
         if bbox is obj.bbox and obj.object_id in clear:
             depth = obj.depth
         else:
             depth = _read_depth(scene, bbox, obj.depth, index)
         if depth_sigma > 0:
-            noised = min(1.0, max(0.0, depth + rng.gauss(0.0, depth_sigma)))
-            if events is not None:
-                detail = f"{depth:.4f} -> {noised:.4f}"
-                events.append(PerceptionEvent("depth-noise", obj.object_id, detail))
-            depth = noised
+            depth = min(1.0, max(0.0, depth + rng.gauss(0.0, depth_sigma)))
         facing = obj.facing
         if flip > 0 and rng.random() < flip:
             facing = _misread_facing(rng, facing)
-            if events is not None:
-                detail = f"{obj.facing.value} -> {facing.value}"
-                events.append(PerceptionEvent("facing-flip", obj.object_id, detail))
-        detected.append(
-            SceneObject(obj.name, obj.attributes, obj.object_id, bbox, depth, facing)
-        )
+        detected.append(SceneObject(obj.name, obj.attributes, obj.object_id, bbox, depth, facing))
 
     if duplicate > 0:
         # detected ids are a subset of the scene's, so a clone's id is fresh
@@ -202,8 +185,6 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
                 # a phantom owns no pixel: its box mean, as a detector would read it
                 depth = _read_depth(scene, bbox, obj.depth)
                 clones.append(obj.replace(object_id=next_id, bbox=bbox, depth=depth))
-                if events is not None:
-                    events.append(PerceptionEvent("duplicate", obj.object_id, f"clone #{next_id}"))
                 next_id += 1
         detected.extend(clones)
 
@@ -211,15 +192,33 @@ def _detect(scene, queries, cfg: PerceptionConfig, seed: int, events: list | Non
 
 
 def perceive_with_log(scene, queries, cfg: PerceptionConfig, seed: int):
-    """Like perceive, but also returns the realized perturbation events."""
+    """``perceive``'s layout and the perturbation events it realized."""
+    layout = perceive(scene, queries, cfg, seed)
+    found = {o.object_id: o for o in layout.objects}
     events: list[PerceptionEvent] = []
-    layout = _detect(scene, queries, cfg, seed, events)
+    for index, obj in enumerate(scene.layout.objects):
+        if not any(mention_matches(obj, q) for q in queries):
+            continue
+        oid, new = obj.object_id, found.get(obj.object_id)
+        if new is None:
+            events.append(PerceptionEvent("dropout", oid, obj.name))
+            continue
+        if cfg.bbox_jitter_sigma > 0:
+            detail = f"{obj.bbox.as_list()} -> {new.bbox.as_list()}"
+            events.append(PerceptionEvent("bbox-jitter", oid, detail))
+        if cfg.depth_sigma > 0:
+            read = _read_depth(scene, new.bbox, obj.depth, index)
+            events.append(PerceptionEvent("depth-noise", oid, f"{read:.4f} -> {new.depth:.4f}"))
+        if new.facing is not obj.facing:
+            detail = f"{obj.facing.value} -> {new.facing.value}"
+            events.append(PerceptionEvent("facing-flip", oid, detail))
+    top = scene.layout.max_object_id()
+    detections = [o for o in layout.objects if o.object_id <= top]
+    for clone in layout.objects:
+        if clone.object_id > top:
+            look = (clone.name, clone.attributes, clone.facing, clone.bbox)
+            source = next(o for o in detections
+                          if (o.name, o.attributes, o.facing, _duplicate_bbox(o.bbox)) == look)
+            detail = f"clone #{clone.object_id}"
+            events.append(PerceptionEvent("duplicate", source.object_id, detail))
     return layout, tuple(events)
-
-
-def perceive(scene, queries, cfg: PerceptionConfig, seed: int) -> SceneLayout:
-    """Detect the queried objects in a symbolic scene under the noise model.
-
-    Builds no PerceptionEvent; ask ``perceive_with_log`` for those.
-    """
-    return _detect(scene, queries, cfg, seed, None)

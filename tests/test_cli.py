@@ -102,6 +102,16 @@ class TestGenerate:
         assert err.startswith(f"invalid arguments: {flag} ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    def test_ledger_naming_the_dataset_exits_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(benchgen, "generate_for_lmd", _refuse)
+        out = str(tmp_path / "d.ndjson")
+        same = str(tmp_path / "sub" / ".." / "d.ndjson")  # another spelling of the same file
+        (tmp_path / "sub").mkdir()
+        assert main(["generate", "--n", "5", "--out", out, "--injections", same]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid arguments: --injections {same!r} names the same file as --out {out!r}\n"
+        assert not (tmp_path / "d.ndjson").exists()
+
     def test_empty_out_path_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(benchgen, "generate_for_lmd", _refuse)
         assert main(["generate", "--n", "5", "--out", ""]) == 2
@@ -206,6 +216,22 @@ class TestRun:
         assert main(["run", "--dataset", data, "--report", report]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid arguments: --report ") and err.count("\n") == 1
+
+    def test_report_naming_the_dataset_exits_2_before_the_batch(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "e.ndjson"
+        main(["generate", "--n", "2", "--out", str(data)])
+        capsys.readouterr()
+        before = data.read_bytes()
+        monkeypatch.setattr(pipeline, "run_batch", _refuse)
+        link = tmp_path / "link.ndjson"
+        link.symlink_to(data)
+        for report in (str(data), str(link)):
+            assert main(["run", "--dataset", str(data), "--report", report]) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"invalid arguments: --report {report!r} names the same file as --dataset {str(data)!r}\n"
+            )
+        assert data.read_bytes() == before
 
     @pytest.mark.parametrize("which", [0, 1], ids=["missing-dir", "is-dir"])
     def test_bad_report_path_leaves_no_traceback(self, tmp_path, which):

@@ -1,7 +1,9 @@
-"""What ``import scenefix`` loads, and the names it resolves on first use."""
+"""What ``import scenefix`` loads, the names it resolves on first use, and
+that every module reads each name it imports."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -78,3 +80,35 @@ def test_dir_lists_the_lazy_names():
     listing = dir(scenefix)
     assert set(LAZY) <= set(listing)
     assert set(scenefix.__all__) <= set(listing)
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, except on ``# noqa: F401`` lines."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_unread_imports_are_found():
+    source = "from os import path, sep\nimport json.decoder\nfrom re import sub  # noqa: F401\n"
+    assert _unread_imports(source + "print(sep)\n") == ["json (line 2)", "path (line 1)"]
+
+
+PACKAGE = Path(scenefix.__file__).parent
+
+
+# ``__init__`` imports names to export them
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_every_imported_name_is_read(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert _unread_imports(source) == []

@@ -367,6 +367,9 @@ class _Handler(BaseHTTPRequestHandler):
             body = b" " * (_MAX_RESPONSE_BYTES + 1)
         elif self.path == "/not-utf8":
             body = b"\xff"
+        elif self.path.startswith("/status/"):
+            self.send_error(int(self.path.rsplit("/", 1)[1]))
+            return
         elif self.path == "/echo-body":
             body = json.dumps(
                 {"updated_prompt": "", "layout": record["layout"], "reasoning": raw.decode("utf-8")}
@@ -428,6 +431,13 @@ class TestHttpProtocol:
         session = HttpInterpreter(http_endpoint + "/not-utf8")
         with pytest.raises(ProtocolError, match="UTF-8"):
             session.request(prompt, serialize_wire_layout(lay), 0)
+
+    @pytest.mark.parametrize("status", [404, 500])
+    def test_error_status_is_protocol_error_naming_it(self, http_endpoint, status):
+        session = HttpInterpreter(f"{http_endpoint}/status/{status}")
+        with pytest.raises(ProtocolError, match=f"^endpoint answered HTTP {status}: ") as info:
+            session.request(*_REQUEST_ARGS)
+        assert "unreachable" not in str(info.value)
 
     def test_unreachable_endpoint_is_protocol_error(self):
         session = HttpInterpreter("http://127.0.0.1:9/", timeout=0.5)

@@ -237,6 +237,43 @@ class TestEventLog:
         monkeypatch.setattr(perception, "PerceptionEvent", refuse)
         assert perceive(_scene(), [CAT, DOG], cfg, seed=1) == expected
 
+    def test_logging_perceives_once(self, monkeypatch):
+        calls = []
+        real = perception.perceive
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        cfg = PerceptionConfig(0.03, 0.03, 0.5, 0.3, 0.5)
+        monkeypatch.setattr(perception, "perceive", counted)
+        layout_, events = perceive_with_log(_scene(), [CAT, DOG], cfg, seed=1)
+        assert len(calls) == 1
+        assert layout_ == real(_scene(), [CAT, DOG], cfg, seed=1)
+        assert [(e.kind, e.object_id, e.detail) for e in events] == self.PINNED
+
+    def test_look_alike_clone_is_credited_to_the_first_look_alike(self):
+        # The log credits a clone to the first detection whose name,
+        # attributes, facing and mirrored box it copies. Both dogs mirror to
+        # x 0.625, so when only the later dog is cloned, the log names the
+        # earlier one. The reference, which logs each draw as it makes it,
+        # names dog 2.
+        scene = scene_from_layout(
+            layout(
+                obj("dog", oid=1, x=0.375, y=0.4, w=0.25, h=0.25, depth=0.5,
+                    facing=FacingDirection.LEFT),
+                obj("dog", oid=2, x=0.125, y=0.4, w=0.25, h=0.25, depth=0.5,
+                    facing=FacingDirection.LEFT),
+            )
+        )
+        cfg = PerceptionConfig(duplicate_rate=0.5)
+        out, events = perceive_with_log(scene, [DOG], cfg, seed=10)
+        drawn: list = []
+        reference_detect(scene, [DOG], cfg, 10, drawn, _owners(scene))
+        assert [(e.kind, e.object_id, e.detail) for e in drawn] == [("duplicate", 2, "clone #3")]
+        assert [o.object_id for o in out.objects] == [1, 2, 3]
+        assert [(e.kind, e.object_id, e.detail) for e in events] == [("duplicate", 1, "clone #3")]
+
     @settings(max_examples=150, deadline=None)
     @given(
         layout_seed=st.integers(0, 2**32 - 1),
