@@ -15,8 +15,8 @@ few common variants:
 * bare noun phrases ("a cat"), negation sentences ("No backpacks.") and a
   fixed set of background openers ("An oil painting of ...").
 
-A prompt must mention at least one object, and a clause against the
-frame is horizontal only ("a car on the left").
+A prompt must mention an object and negate none it mentions (nor a plural
+of one), and a clause against the frame is horizontal only ("a car on the left").
 
 Anything else raises ExpressionParseError with the byte offset of the
 segment that failed, rather than guessing.
@@ -25,7 +25,7 @@ segment that failed, rather than guessing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ExpressionParseError
 from .scene import DEFAULT_BACKGROUND, HORIZONTAL, FacingDirection, Relation, slot_setters
@@ -113,6 +113,18 @@ class FacingAssertion:
             raise ValueError("a facing assertion needs a concrete bucket")
 
 
+def _matches_negation(name: str, negated: str) -> bool:
+    """Whether a negated noun covers an object name: the same noun, or a plural of either."""
+    return name == negated or name + "s" == negated or name == negated + "s"
+
+
+def _refuse_negated_mention(negated: str, names) -> None:
+    """ValueError when a negated noun covers a mentioned name: no layout satisfies both."""
+    for name in names:
+        if _matches_negation(name, negated):
+            raise ValueError(f"negated noun {negated!r} covers the mention {name!r}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class SpatialExpression:
     mentions: tuple[ObjectMention, ...]
@@ -120,12 +132,11 @@ class SpatialExpression:
     facings: tuple[FacingAssertion, ...] = ()
     negations: tuple[str, ...] = ()
     background: str = DEFAULT_BACKGROUND
-    raw_text: str = field(default="", compare=False)
 
     def __init__(self, mentions: tuple[ObjectMention, ...],
                  relations: tuple[RelationClause, ...] = (),
                  facings: tuple[FacingAssertion, ...] = (), negations: tuple[str, ...] = (),
-                 background: str = DEFAULT_BACKGROUND, raw_text: str = ""):
+                 background: str = DEFAULT_BACKGROUND):
         mentions = tuple(mentions)
         relations = tuple(relations)
         facings = tuple(facings)
@@ -148,16 +159,17 @@ class SpatialExpression:
         for assertion in facings:
             if assertion.subject not in known:
                 raise ValueError(f"facing subject {assertion.subject!r} is not mentioned")
+        for negated in negations:
+            _refuse_negated_mention(negated, names)
         _set_mentions(self, mentions)
         _set_relations(self, relations)
         _set_facings(self, facings)
         _set_negations(self, negations)
         _set_expr_background(self, background)
-        _set_raw_text(self, raw_text)
 
     def __reduce__(self):
         return SpatialExpression, (self.mentions, self.relations, self.facings,
-                                   self.negations, self.background, self.raw_text)
+                                   self.negations, self.background)
 
     def facing_asserted(self, name: str) -> FacingDirection | None:
         for a in self.facings:
@@ -166,8 +178,8 @@ class SpatialExpression:
         return None
 
 
-(_set_mentions, _set_relations, _set_facings, _set_negations, _set_expr_background,
- _set_raw_text) = slot_setters(SpatialExpression)
+(_set_mentions, _set_relations, _set_facings, _set_negations,
+ _set_expr_background) = slot_setters(SpatialExpression)
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +331,8 @@ class _Builder:
         self.attrs: dict[str, list[str]] = {}
         self.relations: list[RelationClause] = []
         self.facings: list[FacingAssertion] = []
-        self.negations: list[str] = []
+        # negated noun -> offset of the first segment negating it
+        self.negations: dict[str, int] = {}
         # (anchor noun, segment offset) of each object-anchored perspective
         self.anchors: list[tuple[str, int]] = []
 
@@ -394,6 +407,11 @@ def parse_expression(text: str) -> SpatialExpression:
     for anchor, offset in builder.anchors:
         if anchor not in builder.attrs:
             raise ExpressionParseError(f"perspective anchor {anchor!r} is not mentioned", offset)
+    for negated, offset in builder.negations.items():
+        try:
+            _refuse_negated_mention(negated, builder.order)
+        except ValueError as exc:
+            raise ExpressionParseError(str(exc), offset) from exc
     if not builder.order:
         raise ExpressionParseError("no object is mentioned", base)
 
@@ -403,7 +421,6 @@ def parse_expression(text: str) -> SpatialExpression:
         facings=tuple(builder.facings),
         negations=tuple(builder.negations),
         background=background,
-        raw_text=text,
     )
 
 
@@ -422,8 +439,7 @@ def _parse_segment(segment: str, offset: int, b: _Builder) -> None:
     m = _NEGATION_RE.match(segment)
     if m is not None:
         noun, _ = _parse_np(m.group("np"), offset)
-        if noun not in b.negations:
-            b.negations.append(noun)
+        b.negations.setdefault(noun, offset)
         return
 
     m = _BINARY_RE.match(segment)

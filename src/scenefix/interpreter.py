@@ -18,10 +18,10 @@ layout in a fixed priority order:
    have no room, every object named on the axis is placed that way;
 6. the same for front/back clauses on depths, at the window's midpoint.
 
-Objects named in no clause on an axis never move on it. A proposal for
-a ``settled`` layout is the layout itself, and every accepted
-proposal passes the evaluator; a cycle in an axis's order, or a
-placement that fails, raises UnsatisfiableError.
+Objects named in no clause on an axis never move on it. A layout that
+passes the evaluator with one object per mention is its own proposal,
+and every accepted proposal passes the evaluator; a cycle in an axis's
+order, or a placement that fails, raises UnsatisfiableError.
 
 The external route speaks newline-delimited JSON, one request object
 ``{"prompt": ..., "layout": ..., "round": ...}`` per line, over a child
@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .dsl import FRAME, Camera, SpatialExpression, parse_expression
+from .dsl import FRAME, Camera, SpatialExpression, _matches_negation, parse_expression
 from .errors import (
     DuplicateIdError,
     ExpressionParseError,
@@ -54,7 +54,6 @@ from .errors import (
     WireFormatError,
 )
 from .evaluate import (
-    EvaluationResult,
     eval_frame_relation,
     eval_relation,
     evaluate,
@@ -85,11 +84,6 @@ class LayoutProposal:
 
 # --------------------------------------------------------------------------
 # builtin solver
-
-def _matches_negation(obj: SceneObject, negated: str) -> bool:
-    name = obj.name
-    return name == negated or name + "s" == negated or name == negated + "s"
-
 
 def place_in_free_band(
     objects, w: float = DEFAULT_ADDITION_SIZE, h: float = DEFAULT_ADDITION_SIZE
@@ -346,23 +340,6 @@ def _repair_axis(work: _Work, constraints, horizontal: bool) -> None:
         _place(work, axis, order, {n for n in order if n is not None}, horizontal)
 
 
-def settled(expr: SpatialExpression, layout: SceneLayout, verdict: EvaluationResult) -> bool:
-    """Whether the solver would return ``layout`` itself, with no rationale.
-
-    ``verdict`` is ``evaluate(expr, layout)``. A correct verdict leaves no
-    addition, attribute, facing or clause to repair, because ``evaluate``
-    and ``convert_expression`` read each clause the same way; what it does
-    not rule out are the deletions, so every object must also be mentioned,
-    once, and match no negated noun.
-    """
-    if not verdict.correct:
-        return False
-    names = [o.name for o in layout.objects]
-    if len(set(names)) != len(names) or not {m.name for m in expr.mentions}.issuperset(names):
-        return False
-    return not any(_matches_negation(o, n) for n in expr.negations for o in layout.objects)
-
-
 def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutProposal:
     """Propose a corrected layout for a camera-frame expression.
 
@@ -379,7 +356,7 @@ def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutPropo
     # 1. deletions: negated, unmentioned, surplus
     for negated in expr.negations:
         for oid in list(work.order):
-            if _matches_negation(work.objs[oid], negated):
+            if _matches_negation(work.objs[oid].name, negated):
                 work.drop(oid, f"negated noun {negated!r}")
     for oid in list(work.order):
         if work.objs[oid].name not in mentioned:
@@ -454,7 +431,7 @@ def _request_record(prompt: str, layout_wire: str, round_index: int) -> str:
     return json.dumps({"prompt": prompt, "layout": layout_wire, "round": round_index})
 
 
-# Longest HTTP response body read; a longer one is a protocol error.
+# Longest HTTP body or stdio reply line read; a longer one is a protocol error.
 _MAX_RESPONSE_BYTES = 1 << 20
 
 
@@ -480,7 +457,7 @@ def _validate_proposal_layout(
                 f"expected exactly one {mention.name!r}, proposal has {n}"
             )
     for negated in expr.negations:
-        if any(_matches_negation(o, negated) for o in layout.objects):
+        if any(_matches_negation(o.name, negated) for o in layout.objects):
             raise LayoutValidationError(f"proposal keeps negated noun {negated!r}")
     names = {m.name for m in expr.mentions}
     for obj in layout.objects:
@@ -519,8 +496,9 @@ class SubprocessInterpreter:
 
     ``request`` writes the record and reads the reply on the calling
     thread, waiting on the child's stdout with ``select.poll`` (POSIX
-    only). A request that times out kills the child and starts a fresh
-    one, with a fresh read buffer, from the same command line, so a late
+    only). A request that times out, or whose reply line runs past
+    ``_MAX_RESPONSE_BYTES``, kills the child and starts a fresh one, with
+    a fresh read buffer, from the same command line, so the rest of that
     reply never answers a later request.
     """
 
@@ -553,17 +531,20 @@ class SubprocessInterpreter:
 
         An unterminated tail before end of stream is returned as the last
         line. Raises InterpreterTimeout when no full line arrives within
-        ``timeout`` seconds.
+        ``timeout`` seconds, and ProtocolError when the line runs past
+        ``_MAX_RESPONSE_BYTES``.
         """
         buffer = self._buffer
         deadline = time.monotonic() + self.timeout
         scanned = 0
         while True:
-            end = buffer.find(b"\n", scanned)
+            end = buffer.find(b"\n", scanned, _MAX_RESPONSE_BYTES + 1)
             if end >= 0:
                 line = bytes(buffer[:end + 1])
                 del buffer[:end + 1]
                 return line
+            if len(buffer) > _MAX_RESPONSE_BYTES:
+                raise ProtocolError(f"response line exceeds {_MAX_RESPONSE_BYTES} bytes")
             if self._eof:
                 line = bytes(buffer) or None
                 buffer.clear()
@@ -595,7 +576,7 @@ class SubprocessInterpreter:
             raise ProtocolError(f"interpreter closed its stdin: {exc}") from exc
         try:
             line = self._read_line()
-        except InterpreterTimeout:
+        except (InterpreterTimeout, ProtocolError):
             self._stop(grace=0.0)
             self._start()
             raise

@@ -7,12 +7,12 @@ frame, asks the configured solver for a revised layout, applies the diff
 to the scene, and evaluates the result through a fresh perception pass,
 which the next round starts from. As in the paper's loop, each scene is
 perceived and evaluated once, whatever the noise, and the solver, builtin
-or external, is asked only on a misaligned round: when the perceived
-layout is settled (see ``interpreter.settled``) the round makes no edit
-and sends no request, since the builtin solver would return that layout
-itself. A round's SceneFixError (an unsatisfiable clause set, a protocol
-violation, an impossible edit) marks that sample as errored and counts as
-incorrect without stopping the batch.
+or external, is asked only on a misaligned round: a round whose perceived
+verdict is correct makes no edit and sends no request, since perception
+reports only objects matching a mention and the solver returns such a
+layout as it is. A round's SceneFixError (an unsatisfiable clause set, a
+protocol violation, an impossible edit) marks that sample as errored and
+counts as incorrect without stopping the batch.
 
 Reports are newline-delimited JSON: one record per sample trajectory
 plus a final summary with per-round accuracy broken down by perspective
@@ -48,7 +48,7 @@ from .edits import (
 )
 from .errors import SceneFixError
 from .evaluate import EvaluationResult, categorize_run, evaluate
-from .interpreter import make_interpreter, settled, suggest_layout
+from .interpreter import make_interpreter, suggest_layout
 from .perception import ZERO_NOISE, PerceptionConfig, derive_seed, perceive
 from .rules import convert_expression
 from .scene import SceneLayout
@@ -123,15 +123,15 @@ def run_round(
 
     ``perceived`` is the scene as the last round boundary perceived it, and
     ``verdict`` its evaluation: the round does not perceive its input again.
-    The solver, builtin or external, is asked only when the perceived layout
-    is not ``settled``: otherwise the round has no actions and sends no
-    request. An external reply is diffed against what was sent
-    (``wire.restore_sent``), so an object the interpreter sends back
-    unchanged is no edit. The checked layout is the new scene's perception,
-    which the next round starts from.
+    The solver, builtin or external, is asked only when ``verdict`` is not
+    correct: otherwise the round has no actions and sends no request. An
+    external reply is diffed against what was sent (``wire.restore_sent``),
+    so an object the interpreter sends back unchanged is no edit. The
+    checked layout is the new scene's perception, which the next round
+    starts from.
     """
     expr = sample.annotation
-    if settled(expr, perceived, verdict):
+    if verdict.correct:
         actions = []
     elif cfg.solver == "external":
         proposal = session.request(

@@ -135,6 +135,5 @@ def convert_expression(expr: SpatialExpression, layout: SceneLayout) -> SpatialE
             raise FacingUnknownError(str(exc)) from exc
         converted.append(RelationClause(clause.target, relation, clause.relatum, CAMERA))
     return SpatialExpression(
-        expr.mentions, tuple(converted), expr.facings, expr.negations, expr.background,
-        expr.raw_text,
+        expr.mentions, tuple(converted), expr.facings, expr.negations, expr.background
     )

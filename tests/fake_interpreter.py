@@ -13,6 +13,8 @@ selects a behavior:
   invent         reply with an object the prompt never mentions
   sleep          stall long enough to trip client timeouts
   stall-first    stall for a second on round 0, then echo; echo other rounds
+  flood-first    on round 0 echo with 3 MiB of reasoning, a reply line over
+                 the 1 MiB cap; echo other rounds
   close          exit immediately without replying
   deep           reply with JSON nested 100,000 arrays deep
   long-int       reply with a JSON integer of 5000 digits
@@ -101,6 +103,9 @@ def main() -> int:
             if record["round"] == 0:
                 time.sleep(1.0)
             respond(layout_text, prompt, f"round {record['round']}")
+        elif mode == "flood-first":
+            reasoning = "x" * (3 << 20) if record["round"] == 0 else f"round {record['round']}"
+            respond(layout_text, prompt, reasoning)
         elif mode == "deep":
             print("[" * 100_000, flush=True)
         elif mode == "long-int":

@@ -225,7 +225,8 @@ class TestOverlongId:
 
 
 # Shapes the grammar reads but the loop cannot run: a depth clause against
-# the reserved frame relatum, and a prompt that mentions no object.
+# the reserved frame relatum, a prompt that mentions no object, and one
+# that negates a noun it mentions.
 _LOOP_PIECES = (*_PIECES, " in front of the frame", "No ")
 _NPS = ("a cat", "the red dog", "a horse", "the frame")
 _TAILS = (
@@ -293,6 +294,16 @@ class TestShapesTheLoopCannotRun:
             "An oil painting of no cats.", 19, "no object is mentioned",
             {"mentions": [], "relations": [], "facings": [], "negations": ["cats"],
              "background": "An oil painting"},
+        ),
+        (
+            "A dog is on the left and a cat. No dogs.", 31,
+            "negated noun 'dogs' covers the mention 'dog'",
+            {
+                "mentions": [{"name": "dog", "attributes": []}, {"name": "cat", "attributes": []}],
+                "relations": [{"target": "dog", "relation": "left", "relatum": "frame",
+                               "perspective": {"kind": "camera"}}],
+                "facings": [], "negations": ["dogs"], "background": "A realistic image",
+            },
         ),
     ]
 

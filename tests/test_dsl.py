@@ -136,6 +136,27 @@ class TestParseExamples:
             parse_expression(text)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("A dog is on the left and a cat. No dogs.", 31),
+            # the mention may come after its negation
+            ("No dogs. A dog.", 0),
+            ("A cat and no cat.", 10),
+            ("A red dogs. Without a dog.", 11),
+        ],
+    )
+    def test_negated_mention_refused_at_the_negation(self, text, offset):
+        with pytest.raises(ExpressionParseError, match="covers the mention") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
+    def test_expression_negating_a_mention_refused(self):
+        mentions = (ObjectMention("dog"), ObjectMention("cat"))
+        with pytest.raises(ValueError, match="negated noun 'dogs' covers the mention 'dog'"):
+            SpatialExpression(mentions, negations=("dogs",))
+        assert SpatialExpression(mentions, negations=("cow",)).negations == ("cow",)
+
     def test_parse_error_carries_offset(self):
         with pytest.raises(ExpressionParseError) as err:
             parse_expression("a cat and @@@@")

@@ -44,7 +44,7 @@ NO_FACING_OP_BOUND = 0.85  # forest-style
 def _camera_only(expr: SpatialExpression, layout) -> SpatialExpression:
     literal = tuple(RelationClause(c.target, c.relation, c.relatum, CAMERA) for c in expr.relations)
     return SpatialExpression(
-        expr.mentions, literal, expr.facings, expr.negations, expr.background, expr.raw_text
+        expr.mentions, literal, expr.facings, expr.negations, expr.background
     )
 
 

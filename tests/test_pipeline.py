@@ -32,7 +32,6 @@ from scenefix import (
     write_dataset,
 )
 from scenefix.edits import Addition, SymbolicScene
-from scenefix.interpreter import settled
 from scenefix.perception import ZERO_NOISE, derive_seed
 from scenefix.pipeline import build_report, write_report
 from scenefix.wire import sample_from_record, sample_to_record
@@ -687,7 +686,7 @@ class TestExternalSolver:
         ))
         assert len(sent) >= len(wrong)
         for _, expr, perceived in sent:
-            assert not settled(expr, perceived, evaluate(expr, perceived))
+            assert not evaluate(expr, perceived).correct
 
     def test_a_round_sends_the_layout_its_boundary_perceived(self, corrupted_dataset, monkeypatch):
         path, _ = corrupted_dataset

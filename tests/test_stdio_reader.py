@@ -47,6 +47,22 @@ def test_unterminated_last_reply_parses_then_stream_ends():
         assert time.monotonic() - start < 1.0
 
 
+def test_reply_line_over_the_cap_is_protocol_error():
+    with session("flood-first") as s:
+        with pytest.raises(ProtocolError, match="exceeds"):
+            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
+
+
+def test_restart_after_an_over_long_reply_answers_the_next_request():
+    # the restarted child's buffer must not start with the rest of the flood
+    with session("flood-first") as s:
+        with pytest.raises(ProtocolError):
+            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
+        proposal = s.request(PROMPT, serialize_wire_layout(MOVED), 1)
+    assert proposal.layout == MOVED
+    assert proposal.rationale == ("round 1",)
+
+
 def test_restart_drops_a_half_written_late_reply():
     # round 0 times out with half a reply read; the restarted child's
     # buffer must not start with that half

@@ -39,7 +39,6 @@ _EXPR = SpatialExpression(
     (FacingAssertion("dog", FacingDirection.LEFT),),
     ("bird",),
     "An oil painting",
-    "raw prompt",
 )
 _VERDICT = ClauseVerdict(_CLAUSE, False, None, "relatum facing unknown")
 
@@ -50,7 +49,7 @@ VALUES = [
     (_CLAUSE, ["target", "relation", "relatum", "perspective"], {"relation": Relation.BACK}),
     (
         _EXPR,
-        ["mentions", "relations", "facings", "negations", "background", "raw_text"],
+        ["mentions", "relations", "facings", "negations", "background"],
         {"negations": ()},
     ),
     (
@@ -97,13 +96,6 @@ class TestSlottedValue:
         assert dataclasses.replace(value) == value
 
 
-def test_raw_text_takes_no_part_in_equality_or_hash():
-    other = dataclasses.replace(_EXPR, raw_text="another prompt")
-    assert other.raw_text == "another prompt"
-    assert other == _EXPR
-    assert hash(other) == hash(_EXPR)
-
-
 def test_sequences_are_stored_as_tuples():
     assert ObjectMention("cat", ["red"]).attributes == ("red",)
     expr = SpatialExpression([ObjectMention("cat")], [], [], ["dog"])
@@ -117,7 +109,7 @@ def test_defaults():
     assert ObjectMention("cat").attributes == ()
     assert RelationClause("cat", Relation.LEFT, "dog").perspective is CAMERA
     expr = SpatialExpression((ObjectMention("cat"),))
-    assert (expr.relations, expr.facings, expr.negations, expr.raw_text) == ((), (), (), "")
+    assert (expr.relations, expr.facings, expr.negations) == ((), (), ())
     assert expr.background == "A realistic image"
     assert SceneLayout(()).background == "A realistic image"
     assert ClauseVerdict(_CLAUSE, True, Relation.LEFT).note == ""
