@@ -1,14 +1,15 @@
-"""The loop's gate: a perceived layout with a correct verdict is one the solver leaves alone.
+"""The loop's gate: a settled layout is one the solver leaves alone.
 
-A round asks the solver only when its perceived verdict is not correct,
-so whenever the verdict is correct the builtin solver must return the
-perceived layout itself, with an empty rationale, and raise nothing.
-That holds because perception reports only objects that match a mention
+A round asks the solver only when its perceived verdict is not correct;
+a perceived layout whose verdict is correct is settled. Whenever it is,
+the builtin solver must return the perceived layout itself, with an
+empty rationale, and raise nothing. That holds because perception reports only objects that match a mention
 and a correct verdict counts one per mention. The scenes drawn here are
 benchmark samples' gold and initial layouts with extra objects the
 evaluator does not count (unmentioned nouns, twins that miss a mention's
 attribute) and negations of unmentioned nouns, perceived under random
-noise.
+noise. Perceived without noise, every gold layout is settled and an
+initial layout is settled exactly when its own verdict is correct.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from scenefix import (
 )
 from scenefix.benchgen import NOUNS
 from scenefix.dsl import _matches_negation
+from scenefix.perception import ZERO_NOISE
 from scenefix.rules import convert_expression
 
 SAMPLES = tuple(
@@ -100,11 +102,22 @@ def perceived_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(perceived_cases())
-def test_a_correct_perceived_layout_is_what_the_solver_returns(case):
+def test_a_settled_layout_is_what_the_solver_returns(case):
     expr, perceived = case
-    correct = evaluate(expr, perceived).correct
-    event(f"correct: {correct}")
-    if correct:
+    is_settled = evaluate(expr, perceived).correct
+    event(f"settled: {is_settled}")
+    if is_settled:
         proposal = suggest_layout(convert_expression(expr, perceived), perceived)
         assert proposal.layout == perceived
         assert proposal.rationale == ()
+
+
+def test_gold_layouts_are_settled_and_corrupted_ones_are_not():
+    for sample in SAMPLES:
+        expr = sample.annotation
+        gold = perceive(scene_from_layout(sample.gold_layout), expr.mentions, ZERO_NOISE, seed=0)
+        assert evaluate(expr, gold).correct
+        initial = perceive(
+            scene_from_layout(sample.initial_layout), expr.mentions, ZERO_NOISE, seed=0
+        )
+        assert evaluate(expr, initial).correct == evaluate(expr, sample.initial_layout).correct
