@@ -54,7 +54,7 @@ from .errors import (
 )
 # eager: the function ``evaluate`` must shadow the submodule of that name
 from .evaluate import ErrorCategory, EvaluationResult, categorize_run, evaluate
-from .interpreter import LayoutProposal, external_suggest, suggest_layout
+from .interpreter import LayoutProposal, suggest_layout
 from .perception import PerceptionConfig, perceive, perceive_with_log
 from .rules import RULE_TABLE, ConversionRule, convert_expression, convert_relation
 from .scene import (
@@ -172,7 +172,6 @@ __all__ = [
     "corrupt_samples",
     "diff_layouts",
     "evaluate",
-    "external_suggest",
     "generate_for_lmd",
     "generate_forest_style",
     "object_depth",

@@ -4,7 +4,7 @@ The builtin solver consumes a camera-frame expression (run intrinsic
 clauses through the conversion rules first) and repairs the current
 layout in a fixed priority order:
 
-1. delete surplus or negated objects (keep the best match per mention:
+1. delete unmentioned or surplus objects (keep the best match per mention:
    full attribute match first, then larger area, then lower id);
 2. add mentioned objects that are absent, placed in the widest free
    horizontal band at a default 0.25 x 0.25 size;
@@ -27,8 +27,8 @@ The external route speaks newline-delimited JSON, one request object
 ``{"prompt": ..., "layout": ..., "round": ...}`` per line, over a child
 process's stdio or HTTP POST, and expects ``{"updated_prompt": ...,
 "layout": ..., "reasoning": ...}`` back. A session's ``request`` takes
-the prompt's parsed ``annotation`` when the caller has one, and checks
-the reply against it; otherwise it parses the prompt itself.
+the prompt's parsed ``annotation`` from the caller and checks the reply
+against it; the prompt text is only sent, never parsed here.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ import time
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .dsl import FRAME, Camera, SpatialExpression, _matches_negation, parse_expression
+from .dsl import FRAME, Camera, SpatialExpression
 from .errors import (
     DuplicateIdError,
-    ExpressionParseError,
     InterpreterTimeout,
     LayoutValidationError,
     OverlapCollisionError,
@@ -353,11 +352,7 @@ def suggest_layout(expr: SpatialExpression, current: SceneLayout) -> LayoutPropo
     work = _Work(current)
     mentioned = {m.name for m in expr.mentions}
 
-    # 1. deletions: negated, unmentioned, surplus
-    for negated in expr.negations:
-        for oid in list(work.order):
-            if _matches_negation(work.objs[oid].name, negated):
-                work.drop(oid, f"negated noun {negated!r}")
+    # 1. deletions: unmentioned (a negated noun never covers a mention), surplus
     for oid in list(work.order):
         if work.objs[oid].name not in mentioned:
             work.drop(oid, "not mentioned in the expression")
@@ -435,39 +430,25 @@ def _request_record(prompt: str, layout_wire: str, round_index: int) -> str:
 _MAX_RESPONSE_BYTES = 1 << 20
 
 
-def _validate_proposal_layout(
-    layout: SceneLayout, prompt: str, annotation: SpatialExpression | None = None
-) -> None:
-    """Count/attribute consistency of an external proposal with its prompt.
+def _validate_proposal_layout(layout: SceneLayout, annotation: SpatialExpression) -> None:
+    """Count/attribute consistency of an external proposal with the prompt's parse.
 
-    ``annotation`` is the prompt's parse when the caller holds it already
-    (a dataset sample's); without it the prompt is parsed here.
+    A negated noun never covers a mention, so an object one names is an
+    unmentioned object here.
     """
-    expr = annotation
-    if expr is None:
-        try:
-            expr = parse_expression(prompt)
-        except ExpressionParseError:
-            # free-form or self-contradictory prompt: range checks already passed, accept
-            return
-    for mention in expr.mentions:
+    for mention in annotation.mentions:
         n = len(find_matching(layout, mention))
         if n != 1:
             raise LayoutValidationError(
                 f"expected exactly one {mention.name!r}, proposal has {n}"
             )
-    for negated in expr.negations:
-        if any(_matches_negation(o.name, negated) for o in layout.objects):
-            raise LayoutValidationError(f"proposal keeps negated noun {negated!r}")
-    names = {m.name for m in expr.mentions}
+    names = {m.name for m in annotation.mentions}
     for obj in layout.objects:
         if obj.name not in names:
             raise LayoutValidationError(f"proposal invents unmentioned object {obj.name!r}")
 
 
-def _parse_response_line(
-    line: str, prompt: str, annotation: SpatialExpression | None = None
-) -> LayoutProposal:
+def _parse_response_line(line: str, annotation: SpatialExpression) -> LayoutProposal:
     from .wire import parse_wire_layout
 
     try:
@@ -482,7 +463,7 @@ def _parse_response_line(
         raise ProtocolError(f"unparsable layout in response: {exc}") from exc
     except DuplicateIdError as exc:
         raise LayoutValidationError(str(exc)) from exc
-    _validate_proposal_layout(layout, prompt, annotation)
+    _validate_proposal_layout(layout, annotation)
     reasoning = record["reasoning"]
     return LayoutProposal(layout=layout, rationale=(str(reasoning),) if reasoning else ())
 
@@ -564,7 +545,7 @@ class SubprocessInterpreter:
         prompt: str,
         layout_wire: str,
         round_index: int,
-        annotation: SpatialExpression | None = None,
+        annotation: SpatialExpression,
     ) -> LayoutProposal:
         if self._proc.poll() is not None or self._proc.stdin is None:
             raise ProtocolError("interpreter process is not running")
@@ -589,7 +570,7 @@ class SubprocessInterpreter:
             text = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"response line is not UTF-8: {exc}") from exc
-        return _parse_response_line(text, prompt, annotation)
+        return _parse_response_line(text, annotation)
 
     def _stop(self, grace: float) -> None:
         """Close the child's stdin, give it ``grace`` seconds to exit, then kill it.
@@ -630,7 +611,7 @@ class HttpInterpreter:
         prompt: str,
         layout_wire: str,
         round_index: int,
-        annotation: SpatialExpression | None = None,
+        annotation: SpatialExpression,
     ) -> LayoutProposal:
         import http.client
         import urllib.error
@@ -660,7 +641,7 @@ class HttpInterpreter:
             text = body.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"response body is not UTF-8: {exc}") from exc
-        return _parse_response_line(text, prompt, annotation)
+        return _parse_response_line(text, annotation)
 
     def close(self) -> None:  # symmetry with the subprocess session
         pass
@@ -671,13 +652,3 @@ def make_interpreter(endpoint: str, timeout: float = 10.0):
         return HttpInterpreter(endpoint, timeout=timeout)
     return SubprocessInterpreter(endpoint, timeout=timeout)
 
-
-def external_suggest(
-    prompt: str, layout_wire: str, endpoint: str, round_index: int = 0, timeout: float = 10.0
-) -> LayoutProposal:
-    """One-shot proposal from an external interpreter endpoint (an URL or a command line)."""
-    session = make_interpreter(endpoint, timeout=timeout)
-    try:
-        return session.request(prompt, layout_wire, round_index)
-    finally:
-        session.close()

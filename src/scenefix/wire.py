@@ -27,16 +27,7 @@ import re
 import tempfile
 from typing import Iterable, Iterator, NoReturn
 
-from .dsl import (
-    ATTRIBUTE_WORDS,
-    CAMERA,
-    FacingAssertion,
-    Intrinsic,
-    ObjectMention,
-    RelationClause,
-    SpatialExpression,
-    parse_expression,
-)
+from .dsl import ATTRIBUTE_WORDS, Intrinsic, SpatialExpression, parse_expression
 from .errors import (
     DatasetError, ExpressionParseError, LayoutValidationError, SceneFixError, WireFormatError,
 )
@@ -45,7 +36,6 @@ from .scene import (
     DEFAULT_BACKGROUND,
     DEFAULT_SCENE_SIZE,
     FacingDirection,
-    Relation,
     SceneLayout,
     SceneObject,
     grid_bounds,
@@ -251,34 +241,6 @@ def annotation_to_json(expr: SpatialExpression) -> dict:
     }
 
 
-def annotation_from_json(data: dict) -> SpatialExpression:
-    try:
-        mentions = tuple(
-            ObjectMention(m["name"], tuple(m["attributes"])) for m in data["mentions"]
-        )
-        relations = []
-        for c in data["relations"]:
-            persp = c["perspective"]
-            perspective = (
-                Intrinsic(persp["relatum"]) if persp["kind"] == "intrinsic" else CAMERA
-            )
-            relations.append(
-                RelationClause(c["target"], Relation(c["relation"]), c["relatum"], perspective)
-            )
-        facings = tuple(
-            FacingAssertion(f["subject"], FacingDirection(f["facing"])) for f in data["facings"]
-        )
-        return SpatialExpression(
-            mentions=mentions,
-            relations=tuple(relations),
-            facings=facings,
-            negations=tuple(data["negations"]),
-            background=data["background"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireFormatError(f"bad annotation record: {exc}") from exc
-
-
 # --------------------------------------------------------------------------
 # datasets
 
@@ -312,17 +274,13 @@ def sample_from_record(record: dict, line: int = 0):
             raise DatasetError(f"{key} must be a string, got {kind}", line=line)
     prompt = record["prompt"]
     try:
-        parsed = parse_expression(prompt)
+        annotation = parse_expression(prompt)
     except ExpressionParseError as exc:
-        parsed, parse_fault = None, exc
+        raise DatasetError(f"prompt does not parse: {exc}", line=line) from exc
+    # the annotation is sample_to_record's spelling of the prompt's parse
+    if record["annotation"] != annotation_to_json(annotation):
+        raise DatasetError(f"annotation does not match prompt {prompt!r}", line=line)
     try:
-        # a record written by sample_to_record holds exactly the parse's JSON;
-        # decoding it separately only matters when it spells the annotation
-        # differently, or is not a valid annotation at all
-        if parsed is not None and annotation_to_json(parsed) == record["annotation"]:
-            annotation = parsed
-        else:
-            annotation = annotation_from_json(record["annotation"])
         gold_text, initial_text = record["gold_layout"], record["initial_layout"]
         gold_layout = parse_wire_layout(gold_text, annotation.background)
         # an uncorrupted sample starts from its gold layout: one parse serves both
@@ -335,14 +293,10 @@ def sample_from_record(record: dict, line: int = 0):
             grid_bounds(DEFAULT_SCENE_SIZE, DEFAULT_SCENE_SIZE, obj.bbox)
     except SceneFixError as exc:
         raise DatasetError(str(exc), line=line) from exc
-    if parsed is None:
-        raise DatasetError(f"prompt does not parse: {parse_fault}", line=line) from parse_fault
-    if parsed != annotation:
-        raise DatasetError(f"annotation does not match prompt {prompt!r}", line=line)
     return BenchmarkSample(
         id=record["id"],
         prompt=prompt,
-        annotation=parsed,
+        annotation=annotation,
         gold_layout=gold_layout,
         initial_layout=initial_layout,
         split=record["split"],

@@ -27,7 +27,7 @@ from scenefix import (
     SpatialExpression,
     UnsatisfiableError,
     evaluate,
-    external_suggest,
+    parse_expression,
     serialize_wire_layout,
     suggest_layout,
 )
@@ -165,6 +165,16 @@ class TestBuiltinSolver:
         names = {o.name for o in proposal.layout.objects}
         assert names == {"cat", "dog"}
 
+    def test_negated_object_is_removed_as_unmentioned(self):
+        # a negated noun never covers a mention, so the object it names is unmentioned
+        expr = parse_expression("A cat is to the left of a dog. No balloons.")
+        lay = layout(
+            obj("cat", oid=1, x=0.1), obj("dog", oid=2, x=0.6), obj("balloon", oid=3, y=0.6)
+        )
+        proposal = suggest_layout(expr, lay)
+        assert [o.name for o in proposal.layout.objects] == ["cat", "dog"]
+        assert proposal.rationale == ("removed balloon #3: not mentioned in the expression",)
+
     def test_surplus_duplicate_keeps_best_match(self):
         expr = SpatialExpression(mentions=(ObjectMention("cat", ("red",)),))
         lay = layout(
@@ -248,14 +258,20 @@ class TestBuiltinSolver:
                 assert bbox_iou(a, b) <= 0.5
 
 
+_PROMPT = "A cat is to the left of a dog from the camera's perspective."
+_EXPR = parse_expression(_PROMPT)  # every reply is checked against the prompt's parse
+
+
 def _prompt_and_wire():
     lay = layout(obj("cat", oid=1, x=0.6, depth=0.5), obj("dog", oid=2, x=0.1, depth=0.5))
-    return "A cat is to the left of a dog from the camera's perspective.", lay
+    return _PROMPT, lay
 
 
 # The exact text of the request for ``_REQUEST_ARGS``: the bytes the
 # stdio route writes (plus a newline) and the HTTP route posts.
-_REQUEST_ARGS = ("A cat.", "[('cat #1', [0.1, 0.1, 0.2, 0.2], 0.5, None)]", 2)
+_REQUEST_ARGS = (
+    "A cat.", "[('cat #1', [0.1, 0.1, 0.2, 0.2], 0.5, None)]", 2, parse_expression("A cat.")
+)
 _REQUEST_TEXT = (
     '{"prompt": "A cat.", "layout": "[(\'cat #1\', [0.1, 0.1, 0.2, 0.2], 0.5, None)]", "round": 2}'
 )
@@ -274,55 +290,53 @@ class TestSubprocessProtocol:
     def test_echo_round_trip(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("echo")) as session:
-            proposal = session.request(prompt, serialize_wire_layout(lay), 0)
+            proposal = session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
         assert proposal.layout == lay
         assert proposal.rationale == ("echoed the input",)
 
     def test_solve_mode_repairs(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("solve"), timeout=30.0) as session:
-            proposal = session.request(prompt, serialize_wire_layout(lay), 0)
-        from scenefix import parse_expression
-
+            proposal = session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
         assert evaluate(parse_expression(prompt), proposal.layout).correct
 
     def test_session_reuse(self):
         prompt, lay = _prompt_and_wire()
         wire = serialize_wire_layout(lay)
         with SubprocessInterpreter(fake_argv("echo")) as session:
-            first = session.request(prompt, wire, 0)
-            second = session.request(prompt, wire, 1)
+            first = session.request(prompt, wire, 0, _EXPR)
+            second = session.request(prompt, wire, 1, _EXPR)
         assert first.layout == second.layout
 
     def test_malformed_response_is_protocol_error(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("malformed")) as session:
             with pytest.raises(ProtocolError):
-                session.request(prompt, serialize_wire_layout(lay), 0)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_missing_fields_is_protocol_error(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("missing-field")) as session:
             with pytest.raises(ProtocolError):
-                session.request(prompt, serialize_wire_layout(lay), 0)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_out_of_range_depth_is_validation_error(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("bad-range")) as session:
             with pytest.raises(LayoutValidationError):
-                session.request(prompt, serialize_wire_layout(lay), 0)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_invented_object_is_validation_error(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("invent")) as session:
             with pytest.raises(LayoutValidationError):
-                session.request(prompt, serialize_wire_layout(lay), 0)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_timeout(self):
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("sleep"), timeout=0.5) as session:
             with pytest.raises(InterpreterTimeout):
-                session.request(prompt, serialize_wire_layout(lay), 0)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_late_reply_never_answers_the_next_request(self):
         prompt, lay = _prompt_and_wire()
@@ -330,8 +344,8 @@ class TestSubprocessProtocol:
         # the round-0 reply arrives 1 s late, while round 1 is still waiting
         with SubprocessInterpreter(fake_argv("stall-first"), timeout=0.8) as session:
             with pytest.raises(InterpreterTimeout):
-                session.request(prompt, serialize_wire_layout(lay), 0)
-            proposal = session.request(prompt, serialize_wire_layout(moved), 1)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
+            proposal = session.request(prompt, serialize_wire_layout(moved), 1, _EXPR)
         assert proposal.layout == moved
         assert proposal.rationale == ("round 1",)
 
@@ -344,7 +358,7 @@ class TestSubprocessProtocol:
         prompt, lay = _prompt_and_wire()
         with SubprocessInterpreter(fake_argv("close")) as session:
             with pytest.raises(ProtocolError):
-                session.request(prompt, serialize_wire_layout(lay), 0)
+                session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_requests_after_end_of_stream_fail_fast(self):
         prompt, lay = _prompt_and_wire()
@@ -352,7 +366,7 @@ class TestSubprocessProtocol:
             start = time.monotonic()
             for round_index in range(3):
                 with pytest.raises(ProtocolError):
-                    session.request(prompt, serialize_wire_layout(lay), round_index)
+                    session.request(prompt, serialize_wire_layout(lay), round_index, _EXPR)
             assert time.monotonic() - start < 1.0
 
 
@@ -406,7 +420,7 @@ class TestHttpProtocol:
     def test_echo_round_trip(self, http_endpoint):
         prompt, lay = _prompt_and_wire()
         session = HttpInterpreter(http_endpoint)
-        proposal = session.request(prompt, serialize_wire_layout(lay), 0)
+        proposal = session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
         assert proposal.layout == lay
         assert proposal.rationale == ("http echo",)
 
@@ -418,19 +432,19 @@ class TestHttpProtocol:
         prompt, lay = _prompt_and_wire()
         session = HttpInterpreter(http_endpoint + "/malformed")
         with pytest.raises(ProtocolError):
-            session.request(prompt, serialize_wire_layout(lay), 0)
+            session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_oversize_body_is_protocol_error(self, http_endpoint):
         prompt, lay = _prompt_and_wire()
         session = HttpInterpreter(http_endpoint + "/oversize")
         with pytest.raises(ProtocolError, match="exceeds"):
-            session.request(prompt, serialize_wire_layout(lay), 0)
+            session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     def test_non_utf8_body_is_protocol_error(self, http_endpoint):
         prompt, lay = _prompt_and_wire()
         session = HttpInterpreter(http_endpoint + "/not-utf8")
         with pytest.raises(ProtocolError, match="UTF-8"):
-            session.request(prompt, serialize_wire_layout(lay), 0)
+            session.request(prompt, serialize_wire_layout(lay), 0, _EXPR)
 
     @pytest.mark.parametrize("status", [404, 500])
     def test_error_status_is_protocol_error_naming_it(self, http_endpoint, status):
@@ -442,7 +456,7 @@ class TestHttpProtocol:
     def test_unreachable_endpoint_is_protocol_error(self):
         session = HttpInterpreter("http://127.0.0.1:9/", timeout=0.5)
         with pytest.raises((ProtocolError, InterpreterTimeout)):
-            session.request("a cat", "[]", 0)
+            session.request("A cat.", "[]", 0, parse_expression("A cat."))
 
 
 def _read_request(conn: socket.socket) -> None:
@@ -504,7 +518,7 @@ class TestRawEndpoint:
         session = HttpInterpreter(raw_endpoint, timeout=5.0)
         for round_index in range(2):  # every request fails the same way
             with pytest.raises(ProtocolError):
-                session.request(prompt, serialize_wire_layout(lay), round_index)
+                session.request(prompt, serialize_wire_layout(lay), round_index, _EXPR)
 
     def test_batch_completes_with_samples_errored(self, raw_endpoint, tmp_path):
         path = str(tmp_path / "dataset.ndjson")
@@ -526,10 +540,3 @@ class TestDispatchAndOneShot:
             assert isinstance(session, SubprocessInterpreter)
         finally:
             session.close()
-
-    def test_external_suggest_with_command_line(self):
-        prompt, lay = _prompt_and_wire()
-        proposal = external_suggest(
-            prompt, serialize_wire_layout(lay), f"{sys.executable} {FAKE} echo"
-        )
-        assert proposal.layout == lay

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenefix import LayoutValidationError, ProtocolError, serialize_wire_layout
+from scenefix import LayoutValidationError, ProtocolError, parse_expression, serialize_wire_layout
 from scenefix.benchgen import apply_corruption, generate_for_lmd
-from scenefix.interpreter import SubprocessInterpreter, _parse_response_line, external_suggest
+from scenefix.interpreter import SubprocessInterpreter, _parse_response_line
 from scenefix.pipeline import RunConfig, run_batch
 from scenefix.wire import write_dataset
 
@@ -22,6 +22,7 @@ from helpers import NON_ASCII_WIRE, layout, obj
 FAKE = str(Path(__file__).parent / "fake_interpreter.py")
 BAD_REPLIES = ("deep", "long-int", "not-utf8")
 PROMPT = "A cat is to the left of a dog from the camera's perspective."
+EXPR = parse_expression(PROMPT)
 
 
 @pytest.mark.parametrize("mode", BAD_REPLIES)
@@ -31,7 +32,7 @@ def test_bad_reply_is_protocol_error_at_once(mode):
         for round_index in range(2):  # the session stays usable
             start = time.monotonic()
             with pytest.raises(ProtocolError):
-                session.request(PROMPT, wire, round_index)
+                session.request(PROMPT, wire, round_index, EXPR)
             assert time.monotonic() - start < 1.0
 
 
@@ -86,7 +87,7 @@ _REPLIES = st.one_of(
 @given(_REPLIES)
 def test_any_reply_text_fails_only_with_typed_errors(text):
     try:
-        _parse_response_line(text, PROMPT)
+        _parse_response_line(text, EXPR)
     except (ProtocolError, LayoutValidationError):
         pass
 
@@ -95,13 +96,14 @@ def test_any_reply_text_fails_only_with_typed_errors(text):
 def test_non_ascii_id_or_number_in_reply_is_protocol_error(wire):
     reply = json.dumps({"updated_prompt": PROMPT, "layout": wire, "reasoning": ""})
     with pytest.raises(ProtocolError):
-        _parse_response_line(reply, PROMPT)
+        _parse_response_line(reply, EXPR)
 
 
-def test_reply_to_a_self_contradictory_prompt_is_accepted():
-    # the prompt parses, but its perspective anchor is never mentioned:
-    # like a free-form prompt, only the reply's ranges are checked
-    prompt = "A cat is to the left of a dog from the horse's perspective."
-    lay = layout(obj("cat", oid=1, x=0.6), obj("dog", oid=2, x=0.1))
-    proposal = external_suggest(prompt, serialize_wire_layout(lay), f"{sys.executable} {FAKE} echo")
-    assert proposal.layout == lay
+
+def test_reply_keeping_a_negated_noun_invents_an_unmentioned_object():
+    # a negated noun never covers a mention, so the object it names is unmentioned
+    expr = parse_expression("A cat is to the left of a dog. No balloons.")
+    lay = layout(obj("cat", oid=1, x=0.1), obj("dog", oid=2, x=0.6), obj("balloon", oid=3, y=0.6))
+    reply = json.dumps({"updated_prompt": "", "layout": serialize_wire_layout(lay), "reasoning": ""})
+    with pytest.raises(LayoutValidationError, match="^proposal invents unmentioned object 'balloon'$"):
+        _parse_response_line(reply, expr)

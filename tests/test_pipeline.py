@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import scenefix.interpreter as interpreter
 import scenefix.pipeline as pipeline
 from scenefix import (
     BBox,
@@ -622,18 +623,14 @@ class TestExternalSolver:
         assert report.accuracy[1] == 1.0
 
     @pytest.mark.parametrize("source", ["for-lmd", "forest-style"])
-    def test_external_verdicts_match_builtin_without_reparsing(self, tmp_path, monkeypatch, source):
-        """Replies are validated against the sample's parsed annotation, so
-        the interpreter module never parses a dataset prompt again."""
+    def test_external_verdicts_match_builtin_without_reparsing(self, tmp_path, source):
+        """Replies are validated against the sample's parsed annotation: the
+        interpreter module holds no parser to read a dataset prompt again."""
+        assert not hasattr(interpreter, "parse_expression")
         generate = generate_for_lmd if source == "for-lmd" else generate_forest_style
         samples, _ = apply_corruption(generate(30, seed=101), fraction=0.8, seed=101)
         path = _dataset(tmp_path, samples)
         builtin = run_batch(RunConfig(dataset_path=path, rounds=1))
-
-        def reparse(prompt):
-            raise AssertionError(f"prompt parsed again: {prompt!r}")
-
-        monkeypatch.setattr("scenefix.interpreter.parse_expression", reparse)
         external = run_batch(RunConfig(
             dataset_path=path, rounds=1, solver="external",
             endpoint=f"{sys.executable} {FAKE} solve",

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from scenefix import DatasetError, InterpreterTimeout, ProtocolError, serialize_wire_layout
+from scenefix import (
+    DatasetError, InterpreterTimeout, ProtocolError, parse_expression, serialize_wire_layout,
+)
 from scenefix import pipeline
 from scenefix.benchgen import generate_forest_style
 from scenefix.interpreter import SubprocessInterpreter
@@ -20,6 +22,7 @@ from helpers import layout, obj
 
 FAKE = str(Path(__file__).parent / "fake_interpreter.py")
 PROMPT = "A cat is to the left of a dog from the camera's perspective."
+EXPR = parse_expression(PROMPT)
 LAYOUT = layout(obj("cat", oid=1, x=0.6, depth=0.5), obj("dog", oid=2, x=0.1, depth=0.5))
 MOVED = layout(obj("cat", oid=1, x=0.05), obj("dog", oid=2, x=0.7))
 
@@ -31,34 +34,34 @@ def session(mode: str, timeout: float = 5.0) -> SubprocessInterpreter:
 def test_reply_written_in_two_flushes_is_one_line():
     with session("split") as s:
         for round_index in range(2):
-            proposal = s.request(PROMPT, serialize_wire_layout(LAYOUT), round_index)
+            proposal = s.request(PROMPT, serialize_wire_layout(LAYOUT), round_index, EXPR)
             assert proposal.layout == LAYOUT
             assert proposal.rationale == ("echoed in two parts",)
 
 
 def test_unterminated_last_reply_parses_then_stream_ends():
     with session("no-newline") as s:
-        proposal = s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
+        proposal = s.request(PROMPT, serialize_wire_layout(LAYOUT), 0, EXPR)
         assert proposal.layout == LAYOUT
         assert proposal.rationale == ("echoed without a newline",)
         start = time.monotonic()
         with pytest.raises(ProtocolError):
-            s.request(PROMPT, serialize_wire_layout(LAYOUT), 1)
+            s.request(PROMPT, serialize_wire_layout(LAYOUT), 1, EXPR)
         assert time.monotonic() - start < 1.0
 
 
 def test_reply_line_over_the_cap_is_protocol_error():
     with session("flood-first") as s:
         with pytest.raises(ProtocolError, match="exceeds"):
-            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
+            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0, EXPR)
 
 
 def test_restart_after_an_over_long_reply_answers_the_next_request():
     # the restarted child's buffer must not start with the rest of the flood
     with session("flood-first") as s:
         with pytest.raises(ProtocolError):
-            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
-        proposal = s.request(PROMPT, serialize_wire_layout(MOVED), 1)
+            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0, EXPR)
+        proposal = s.request(PROMPT, serialize_wire_layout(MOVED), 1, EXPR)
     assert proposal.layout == MOVED
     assert proposal.rationale == ("round 1",)
 
@@ -68,8 +71,8 @@ def test_restart_drops_a_half_written_late_reply():
     # buffer must not start with that half
     with session("stall-mid-line", timeout=0.8) as s:
         with pytest.raises(InterpreterTimeout):
-            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
-        proposal = s.request(PROMPT, serialize_wire_layout(MOVED), 1)
+            s.request(PROMPT, serialize_wire_layout(LAYOUT), 0, EXPR)
+        proposal = s.request(PROMPT, serialize_wire_layout(MOVED), 1, EXPR)
     assert proposal.layout == MOVED
     assert proposal.rationale == ("round 1",)
 
@@ -77,7 +80,7 @@ def test_restart_drops_a_half_written_late_reply():
 def test_a_session_starts_no_thread():
     before = threading.active_count()
     with session("echo") as s:
-        s.request(PROMPT, serialize_wire_layout(LAYOUT), 0)
+        s.request(PROMPT, serialize_wire_layout(LAYOUT), 0, EXPR)
         assert threading.active_count() == before
     assert threading.active_count() == before
 
@@ -125,11 +128,11 @@ def test_failed_restart_after_a_timeout_is_protocol_error(tmp_path):
     script.chmod(0o755)
     wire = serialize_wire_layout(LAYOUT)
     with SubprocessInterpreter([str(script)], timeout=0.5) as s:
-        s.request(PROMPT, wire, 1)  # the child is up
+        s.request(PROMPT, wire, 1, EXPR)  # the child is up
         script.unlink()  # so the restart after the timeout cannot find it
         with pytest.raises(ProtocolError, match="cannot start interpreter"):
-            s.request(PROMPT, wire, 0)
+            s.request(PROMPT, wire, 0, EXPR)
         start = time.monotonic()
         with pytest.raises(ProtocolError, match="not running"):
-            s.request(PROMPT, wire, 1)
+            s.request(PROMPT, wire, 1, EXPR)
         assert time.monotonic() - start < 1.0

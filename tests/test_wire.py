@@ -30,7 +30,6 @@ from scenefix import (
 from scenefix.benchgen import apply_corruption
 from scenefix.edits import Reposition, diff_layouts
 from scenefix.wire import (
-    annotation_from_json,
     annotation_to_json,
     fmt_number,
     load_layouts,
@@ -174,20 +173,6 @@ class TestRestoreSent:
     def test_a_new_id_or_a_value_that_prints_differently_is_kept(self):
         reply = layout(obj("cat", oid=3, x=0.12345, y=0.2, depth=0.56789), obj("dog", oid=2))
         assert restore_sent(self.SENT, reply) is reply
-
-
-class TestAnnotationJson:
-    def test_round_trip(self):
-        for sample in generate_for_lmd(25, seed=78):
-            data = annotation_to_json(sample.annotation)
-            json.dumps(data)  # must be plain JSON types
-            assert annotation_from_json(data) == sample.annotation
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(WireFormatError):
-            annotation_from_json({"mentions": "nope"})
-        with pytest.raises(WireFormatError):
-            annotation_from_json({})
 
 
 class TestDatasetFiles:
@@ -429,7 +414,8 @@ def test_non_ascii_ids_and_numbers_are_wire_format_errors(text):
 
 
 # ---------------------------------------------------------------------------
-# record acceptance: the stored annotation must decode to the prompt's parse
+# record acceptance: the stored annotation must be the JSON sample_to_record
+# writes for the prompt's parse
 
 _ANNOTATED = [
     sample_to_record(s) for s in generate_for_lmd(6, seed=11) + generate_forest_style(6, seed=11)
@@ -482,7 +468,7 @@ class TestRecordAcceptance:
         record = copy.deepcopy(data.draw(st.sampled_from(_ANNOTATED)))
         for edit in data.draw(st.lists(st.sampled_from(_ANNOTATION_EDITS), min_size=1, max_size=3)):
             edit(data, record["annotation"])
-        expected = annotation_from_json(record["annotation"]) == parse_expression(record["prompt"])
+        expected = record["annotation"] == annotation_to_json(parse_expression(record["prompt"]))
         try:
             sample = sample_from_record(record, line=line)
         except DatasetError as err:
