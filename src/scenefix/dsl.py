@@ -358,13 +358,17 @@ def _byte_len(text: str) -> int:
 
 
 def _segments(text: str, base: int):
-    """Yield (segment, byte_offset) pairs: sentences split on '.', then ' and '."""
+    """Yield (segment, byte_offset) pairs: sentences split on '.', then ' and '.
+
+    A segment's offset is that of its first character.
+    """
     # an ASCII text's byte offsets are its character positions
     is_ascii = text.isascii()
     for sm in _SENTENCE_RE.finditer(text):
         sentence = sm.group(0)
         start = base + (sm.start() if is_ascii else _byte_len(text[: sm.start()]))
-        pos = 0
+        # the first segment starts past the leading space, as one after ' and ' does
+        pos = len(sentence) - len(sentence.lstrip())
         for am in _AND_RE.finditer(sentence):
             seg = sentence[pos : am.start()].strip()
             if seg:

@@ -112,7 +112,7 @@ class TestUnmentionedAnchor:
         "prompt, offset",
         [
             ("A cat is to the left of a dog from the horse's perspective.", 0),
-            ("A bird is on the left. A cat is to the left of a dog from the horse's view.", 22),
+            ("A bird is on the left. A cat is to the left of a dog from the horse's view.", 23),
             ("A bird and a cat is to the left of a dog from the horse's view.", 11),
             ("An oil painting of a cat to the left of a dog from the horse's view.", 19),
         ],
@@ -157,11 +157,11 @@ class TestClauseTheModelRefuses:
     """Clauses the grammar accepts but the data model refuses fail typed."""
 
     CASES = [
-        ("A bird. A cat is to the left of the cat.", 7, "relates 'cat' to itself"),
+        ("A bird. A cat is to the left of the cat.", 8, "relates 'cat' to itself"),
         # a frame relatum under an object perspective
         ("A cat is to the left of the frame from the dog's view. A dog.", 0, "camera-anchored"),
         # case-insensitive matching reads the dotless i as i
-        ("A bird. A cat is to the r\u0131ght of a dog.", 7, "not a valid Relation"),
+        ("A bird. A cat is to the r\u0131ght of a dog.", 8, "not a valid Relation"),
     ]
 
     @pytest.mark.parametrize("prompt, offset, message", CASES)
@@ -287,7 +287,7 @@ class TestShapesTheLoopCannotRun:
              "background": "An oil painting"},
         ),
         (
-            "A dog is on the left and a cat. No dogs.", 31,
+            "A dog is on the left and a cat. No dogs.", 32,
             "negated noun 'dogs' covers the mention 'dog'",
             {
                 "mentions": [{"name": "dog", "attributes": []}, {"name": "cat", "attributes": []}],

@@ -112,7 +112,7 @@ class TestParseExamples:
         "text, offset",
         [
             ("A cat is to the left of the red frame.", 0),
-            ("A dog. A cat is to the right of a small frame.", 6),
+            ("A dog. A cat is to the right of a small frame.", 7),
         ],
     )
     def test_attributed_frame_relatum_refused(self, text, offset):
@@ -124,9 +124,9 @@ class TestParseExamples:
         "text, offset",
         [
             ("A frame. A dog is to the left of the frame.", 0),
-            ("A dog. The frame is to the left of a dog.", 6),
+            ("A dog. The frame is to the left of a dog.", 7),
             ("A cat is to the left of a dog and the frame is on the left.", 34),
-            ("A cat. The frame is facing left.", 6),
+            ("A cat. The frame is facing left.", 7),
             ("A cat is to the right of a frame and a red frame.", 37),
             ("An oil painting of a frame.", 19),
         ],
@@ -139,11 +139,11 @@ class TestParseExamples:
     @pytest.mark.parametrize(
         "text, offset",
         [
-            ("A dog is on the left and a cat. No dogs.", 31),
+            ("A dog is on the left and a cat. No dogs.", 32),
             # the mention may come after its negation
             ("No dogs. A dog.", 0),
             ("A cat and no cat.", 10),
-            ("A red dogs. Without a dog.", 11),
+            ("A red dogs. Without a dog.", 12),
         ],
     )
     def test_negated_mention_refused_at_the_negation(self, text, offset):
@@ -156,6 +156,24 @@ class TestParseExamples:
         with pytest.raises(ValueError, match="negated noun 'dogs' covers the mention 'dog'"):
             SpatialExpression(mentions, negations=("dogs",))
         assert SpatialExpression(mentions, negations=("cow",)).negations == ("cow",)
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("A cat. A 747 jet.", 7),
+            ("A cat.  A 747 jet.", 8),
+            ("A cat.\u3000A 747 jet.", 9),  # U+3000 is 3 bytes of UTF-8
+            ("An oil painting of a cat. A 747 jet.", 26),
+            ("A cat and a 747 jet.", 10),
+            # a sentence may open with ' and ', which splits as inside one
+            ("A cat. and a 747 jet.", 11),
+        ],
+    )
+    def test_a_segment_fails_at_its_first_character(self, text, offset):
+        with pytest.raises(ExpressionParseError, match="cannot parse segment") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+        assert text.encode("utf-8")[offset:].lower().startswith(b"a 747")
 
     def test_parse_error_carries_offset(self):
         with pytest.raises(ExpressionParseError) as err:
